@@ -434,20 +434,22 @@ func BenchmarkSimStepOverhead(b *testing.B) {
 // reusable TAS-chained Mutex. ReportAllocs demonstrates the arena's
 // amortized O(1) allocations per operation: slots (with their O(n)
 // register footprints) are recycled, so steady state allocates only the
-// per-round bookkeeping, never a fresh TAS object.
+// per-round bookkeeping, never a fresh TAS object. Every Algorithm runs
+// behind the same doorway, so the rungs differ only in the inner election
+// contended rounds fall through to.
 func BenchmarkMutex(b *testing.B) {
-	for _, algo := range []Algorithm{Combined, RatRace, AGTV} {
+	for algo := Combined; algo <= AGTV; algo++ {
 		b.Run(algo.String(), func(b *testing.B) {
-			benchMutexWorkload(b, algo, false)
+			benchMutexWorkload(b, algo)
 		})
 	}
 }
 
-// benchMutexWorkload is the shared Lock/Unlock workload of BenchmarkMutex
-// and BenchmarkMutexBaseline, so the A/B pair can never drift apart.
-func benchMutexWorkload(b *testing.B, algo Algorithm, noFastPath bool) {
+// benchMutexWorkload is BenchmarkMutex's Lock/Unlock workload for one
+// algorithm.
+func benchMutexWorkload(b *testing.B, algo Algorithm) {
 	n := 2 * runtime.GOMAXPROCS(0) // ids for however many workers RunParallel spawns
-	m, err := NewMutex(ArenaOptions{Options: Options{N: n, Algorithm: algo, Seed: 1}, NoFastPath: noFastPath})
+	m, err := NewMutex(ArenaOptions{Options: Options{N: n, Algorithm: algo, Seed: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -484,35 +486,18 @@ func benchMutexWorkload(b *testing.B, algo Algorithm, noFastPath bool) {
 	b.ReportMetric(float64(m.m.Arena().TotalStats().Slots), "slots")
 }
 
-// E14a — the same workload as BenchmarkMutex on the portable baseline
-// paths (ArenaOptions.NoFastPath: interface-dispatched steps, no
-// uncontended doorway, full-footprint resets). The gap between this and
-// BenchmarkMutex is the fast-path overhaul, measurable inside one
-// binary; cmd/tasbench -mode=compare reports the same A/B as JSON.
-func BenchmarkMutexBaseline(b *testing.B) {
-	for _, algo := range []Algorithm{Combined, RatRace, AGTV} {
-		b.Run(algo.String(), func(b *testing.B) {
-			benchMutexWorkload(b, algo, true)
-		})
-	}
-}
-
 // Register-bank recycling in isolation: a 512-register space with 8
-// registers touched per round. The dirty-window Reset pays O(touched);
-// FullReset pays O(footprint) — the before/after of tentpole item (4).
+// registers touched per round. The dirty-window Reset pays O(touched),
+// not O(footprint).
 func BenchmarkSpaceReset(b *testing.B) {
 	const regs, touched = 512, 8
-	mkSpace := func() (*concurrent.Space, []shm.Register) {
+	b.Run("dirty-window", func(b *testing.B) {
 		s := concurrent.NewSpace()
 		rs := make([]shm.Register, regs)
 		for i := range rs {
 			rs[i] = s.NewRegister(0)
 		}
 		s.Seal()
-		return s, rs
-	}
-	b.Run("dirty-window", func(b *testing.B) {
-		s, rs := mkSpace()
 		h := concurrent.NewHandle(0, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -520,17 +505,6 @@ func BenchmarkSpaceReset(b *testing.B) {
 				h.Write(rs[(i*7+j*61)%regs], 1)
 			}
 			s.Reset()
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		s, rs := mkSpace()
-		h := concurrent.NewHandle(0, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < touched; j++ {
-				h.Write(rs[(i*7+j*61)%regs], 1)
-			}
-			s.FullReset()
 		}
 	})
 }

@@ -1,16 +1,10 @@
 // Command tasbench regenerates every experiment table of the reproduction
-// (see EXPERIMENTS.md for the experiment ↔ theorem mapping) and, in
-// throughput mode, load-tests the reusable arena-backed Mutex.
+// (E1–E11, one per claim) and, in net mode, load-tests the tasd lock
+// service.
 //
 // Usage:
 //
 //	tasbench [-mode=experiments] [-experiment all|E1|E2|...] [-trials N] [-seed S] [-quick]
-//	tasbench -mode=throughput [-goroutines G] [-duration D] [-algos a,b,c]
-//	         [-shards S] [-prealloc P] [-work W] [-seed S]
-//	tasbench -mode=compare [-goroutines G] [-duration D] [-algos a,b,c]
-//	         [-shards S] [-prealloc P] [-work W]
-//	         [-out BENCH_PR2.json] [-preref algo=ns,...]
-//	tasbench -mode=simcompare [-simtrials N] [-simout BENCH_PR3.json] [-simpreref NS]
 //	tasbench -mode=net [-scenario pairs|churn|storm|disconnect|flood]
 //	         [-clients C] [-pipeline D] [-locks L] [-duration D] [-wait D]
 //	         [-addr host:port] [-netout BENCH_PR8.json] [-netfloor OPS]
@@ -21,13 +15,10 @@
 //
 // Each experiment prints a fixed-width table whose *shape* (who wins, by
 // what growth rate, where crossovers fall) reproduces the corresponding
-// theorem of Giakkoupis & Woelfel (PODC 2012). Throughput mode (see
-// throughput.go) reports ops/sec, wait/hold percentiles, and steps/op of
-// sustained Lock/Unlock traffic on real goroutines; compare and
-// simcompare are the regression-gated before/after harnesses of the
-// PR 2 mutex fast path and the PR 3 simulator engine; net mode (see
-// net.go) load-tests the tasd lock daemon over loopback TCP and records
-// BENCH_PR4.json.
+// theorem of Giakkoupis & Woelfel (PODC 2012). Net mode (see net.go)
+// load-tests the tasd lock daemon over loopback TCP. In-process mutex
+// and simulator throughput are measured by the benchmark under bench/
+// (bash bench/run.sh).
 package main
 
 import (
@@ -55,25 +46,14 @@ import (
 
 func main() {
 	var (
-		mode       = flag.String("mode", "experiments", "'experiments' (simulator tables), 'throughput' (real-goroutine Mutex load test), 'compare' (mutex fast-path before/after JSON), 'simcompare' (simulator engine before/after JSON), 'net' (tasd loopback load test) or 'dst' (deterministic whole-service simulation over a seed corpus)")
+		mode       = flag.String("mode", "experiments", "'experiments' (simulator tables), 'net' (tasd loopback load test), 'hold' (one-lock lease drill), 'dst' (deterministic whole-service simulation over a seed corpus) or 'complexity' (fitted step/RMR classes gate)")
 		experiment = flag.String("experiment", "all", "experiment id (E1..E11) or 'all'")
 		trials     = flag.Int("trials", 100, "Monte-Carlo trials per table cell")
 		seed       = flag.Int64("seed", 1, "base random seed")
 		quick      = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
 
-		goroutines = flag.Int("goroutines", 8, "throughput/compare: concurrent lockers")
-		duration   = flag.Duration("duration", 2*time.Second, "throughput/compare: load duration per algorithm")
-		algos      = flag.String("algos", "combined,logstar,ratrace,agtv", "throughput/compare: comma-separated algorithms")
-		shards     = flag.Int("shards", 0, "throughput/compare: arena shards (0 = default)")
-		prealloc   = flag.Int("prealloc", 0, "throughput/compare: preallocated slots per shard (0 = default)")
-		work       = flag.Int("work", 0, "throughput/compare: spin iterations inside the critical section")
-
-		out    = flag.String("out", "BENCH_PR2.json", "compare: mutex output JSON path")
-		preref = flag.String("preref", "", "compare: externally measured pre-PR ns/op, e.g. combined=35796,agtv=102")
-
-		simTrials = flag.Int("simtrials", 2000, "simcompare: trials for the sim-throughput section")
-		simOut    = flag.String("simout", "BENCH_PR3.json", "simcompare: sim-throughput output JSON path")
-		simPreRef = flag.Float64("simpreref", 0, "simcompare: externally measured pre-PR engine ns/trial on the sim cell")
+		duration = flag.Duration("duration", 2*time.Second, "net: load duration")
+		algos    = flag.String("algos", "combined,logstar,ratrace,agtv", "net: comma-separated algorithms; the first picks the in-process server's")
 
 		clients  = flag.Int("clients", 8, "net: concurrent client connections")
 		pipeline = flag.Int("pipeline", 16, "net: ACQUIRE/RELEASE pairs per pipelined batch")
@@ -90,7 +70,7 @@ func main() {
 		holdFor  = flag.Duration("holdfor", 0, "hold: how long to sit on the lock before releasing")
 
 		cxOut  = flag.String("cxout", "BENCH_PR9.json", "complexity: output JSON path ('' = no file)")
-		cxPre  = flag.String("benchpre", "", "complexity: committed counters-off baseline ns/op, e.g. mutex/combined=288.9,reset/full=7640")
+		cxPre  = flag.String("benchpre", "", "complexity: committed counters-off baseline ns/op, e.g. mutex/combined=288.9,reset/dirty-window=60")
 		cxPost = flag.String("benchpost", "", "complexity: post-change counters-off ns/op, same shape as -benchpre")
 
 		dstSeeds    = flag.Int("dstseeds", 64, "dst: corpus size (seeds base, base+1, ...)")
@@ -151,51 +131,10 @@ func main() {
 			fatalf("tasbench: %v", err)
 		}
 		return
-	case "simcompare":
-		err := runSimCompare(compareConfig{
-			seed:      *seed,
-			simTrials: *simTrials,
-			simOut:    *simOut,
-			simPreRef: *simPreRef,
-		})
-		if err != nil {
-			fatalf("tasbench: %v", err)
-		}
-		return
-	case "compare":
-		err := runCompare(compareConfig{
-			goroutines: *goroutines,
-			duration:   *duration,
-			algos:      *algos,
-			shards:     *shards,
-			prealloc:   *prealloc,
-			work:       *work,
-			seed:       *seed,
-			out:        *out,
-			preref:     *preref,
-		})
-		if err != nil {
-			fatalf("tasbench: %v", err)
-		}
-		return
-	case "throughput":
-		err := runThroughput(throughputConfig{
-			goroutines: *goroutines,
-			duration:   *duration,
-			algos:      *algos,
-			shards:     *shards,
-			prealloc:   *prealloc,
-			work:       *work,
-			seed:       *seed,
-		})
-		if err != nil {
-			fatalf("tasbench: %v", err)
-		}
-		return
 	case "experiments":
 		// fall through to the simulator tables below
 	default:
-		fatalf("tasbench: unknown -mode %q (want 'experiments', 'throughput', 'compare', 'simcompare', 'net', 'hold', 'dst' or 'complexity')", *mode)
+		fatalf("tasbench: unknown -mode %q (want 'experiments', 'net', 'hold', 'dst' or 'complexity')", *mode)
 	}
 
 	cfg := config{trials: *trials, seed: *seed, quick: *quick}
@@ -234,6 +173,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(1)
 	}
+}
+
+// fatalf prints to stderr and exits non-zero; every mode's failures must
+// fail CI.
+func fatalf(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }
 
 type config struct {

@@ -72,9 +72,11 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	randtas "repro"
 	"repro/internal/harness"
 	"repro/internal/server"
 	"repro/tasclient"
@@ -761,4 +763,37 @@ func opLabel(op tasclient.Op) string {
 	default:
 		return op.Name
 	}
+}
+
+// throughputAlgos parses the -algos list against the public algorithm
+// names.
+func throughputAlgos(list string) ([]randtas.Algorithm, error) {
+	var out []randtas.Algorithm
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		a, err := randtas.ParseAlgorithm(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, a)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty -algos list")
+	}
+	return out, nil
+}
+
+// sampleCap bounds per-worker latency sample memory; past the cap the
+// run keeps counting ops but stops recording new samples.
+const sampleCap = 1 << 18
+
+func percentile(d []time.Duration, p float64) time.Duration {
+	if len(d) == 0 {
+		return 0
+	}
+	i := int(p * float64(len(d)-1))
+	return d[i]
 }

@@ -14,7 +14,6 @@
 package agtv
 
 import (
-	"repro/internal/concurrent"
 	"repro/internal/shm"
 	"repro/internal/twoproc"
 )
@@ -54,20 +53,6 @@ func (t *Tournament) Elect(h shm.Handle) bool {
 		slot := v % 2 // left child rises as slot 0
 		v /= 2
 		if !t.matches[v].Elect(h, slot) {
-			return false
-		}
-	}
-	return true
-}
-
-// ElectFast implements concurrent.Elector: the same tournament climb
-// with the two-process matches devirtualized for the goroutine backend.
-func (t *Tournament) ElectFast(h *concurrent.Handle) bool {
-	v := t.leaves + h.ID()
-	for v > 1 {
-		slot := v % 2
-		v /= 2
-		if !t.matches[v].ElectFast(h, slot) {
 			return false
 		}
 	}

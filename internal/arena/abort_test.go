@@ -11,15 +11,11 @@ import (
 )
 
 // abortRaceConfigs are the mutex variants the abort protocol must hold
-// on: the production fast path (doorway in front of the election), the
-// doorway-less fast path, and the plain portable mode, where the elector
-// offers no abort protocol and cancellation can only land between
-// rounds.
+// on. Every arena slot fronts its election with the doorway, so there is
+// one.
 func abortRaceConfigs(n int) map[string]Config {
 	return map[string]Config{
-		"doorway":   {N: n, Shards: 2, Prealloc: 2, Factory: logStarFactory},
-		"nodoorway": {N: n, Shards: 2, Prealloc: 2, Factory: logStarFactory, NoDoorway: true},
-		"plain":     {N: n, Shards: 2, Prealloc: 2, Factory: logStarFactory, Plain: true},
+		"doorway": {N: n, Shards: 2, Prealloc: 2, Factory: logStarFactory},
 	}
 }
 

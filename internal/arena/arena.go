@@ -21,6 +21,15 @@
 //     {tag, index} head word: every successful CAS increments the tag, so
 //     a recycled slot can never be confused with its earlier incarnation.
 //
+// Every slot fronts its election with the constant-step uncontended
+// doorway (tas.FastPath), and the arena's callers step through the
+// doorway's concrete entry, TAS.TASFastAbortable — the only concrete
+// step code in the repository. Every acquisition runs the doorway, and
+// it is only a handful of steps, so its devirtualized registers pay off;
+// the factory's elector behind it runs only under contention and is
+// called through its portable Elect. The doorway is also what makes
+// every slot abortable.
+//
 // The Mutex in this package chains arena slots into a long-lived lock;
 // the public surface is re-exported through the root randtas package.
 package arena
@@ -35,8 +44,8 @@ import (
 )
 
 // Factory builds a fresh one-shot leader election for n processes on the
-// given space; the arena turns it into a TAS object itself (optionally
-// fronting it with the uncontended doorway, see Config.NoDoorway).
+// given space; the arena fronts it with the uncontended doorway and turns
+// it into a TAS object itself.
 // Because recycling is implemented as Space.Reset, the returned elector
 // must keep ALL mutable election state in registers allocated on s
 // during this call (the repository-wide convention): the space is sealed
@@ -61,19 +70,6 @@ type Config struct {
 	Prealloc int
 	// Factory builds each slot's leader election. Required.
 	Factory Factory
-	// NoDoorway skips the constant-step uncontended doorway
-	// (tas.FastPath) normally composed in front of each slot's election.
-	// Set it when the factory's elector is already O(1) solo (a small
-	// AGTV tournament, say) and the doorway's four extra steps would
-	// outweigh what it saves.
-	NoDoorway bool
-	// Plain forces the portable interface code paths everywhere: no
-	// doorway, interface-dispatched election steps, and full-footprint
-	// register resets on recycle instead of the dirty window. It exists
-	// so cmd/tasbench -mode=compare can measure the fast-path overhaul
-	// against its own baseline inside one binary; leave it false in
-	// production.
-	Plain bool
 	// CountRMRs builds every slot's register space with RMR accounting
 	// (concurrent.Config.CountRMRs): each process's handle then tallies
 	// remote memory references in the CC and DSM models alongside its
@@ -206,8 +202,6 @@ type Arena struct {
 	n       int
 	factory Factory
 	shards  []shard
-	doorway bool
-	plain   bool
 	acct    bool
 }
 
@@ -234,8 +228,6 @@ func New(cfg Config) (*Arena, error) {
 		n:       cfg.N,
 		factory: cfg.Factory,
 		shards:  make([]shard, shards),
-		doorway: !cfg.NoDoorway && !cfg.Plain,
-		plain:   cfg.Plain,
 		acct:    cfg.CountRMRs,
 	}
 	for i := range a.shards {
@@ -255,11 +247,7 @@ func (a *Arena) Shards() int { return len(a.shards) }
 
 func (a *Arena) build(shardIdx uint32) *Slot {
 	space := concurrent.NewSpaceConfig(concurrent.Config{CountRMRs: a.acct})
-	le := a.factory(space, a.n)
-	if a.doorway {
-		le = tas.NewFastPath(space, le)
-	}
-	obj := tas.New(space, le)
+	obj := tas.New(space, tas.NewFastPath(space, a.factory(space, a.n)))
 	// The slot's register footprint is now fixed; any later NewRegister
 	// would escape Reset and race with the bank sweep, so seal it.
 	space.Seal()
@@ -298,11 +286,7 @@ func (a *Arena) Get(hint int) *Slot {
 // protocol enforces this with refcounts). A slot must not be Put twice
 // without an intervening Get.
 func (a *Arena) Put(s *Slot) {
-	if a.plain {
-		s.space.FullReset()
-	} else {
-		s.space.Reset()
-	}
+	s.space.Reset()
 	sh := &a.shards[s.shard]
 	sh.push(s)
 	sh.puts.Add(1)

@@ -449,20 +449,10 @@ func (p *MutexProc) tryRound(r *round, blocking bool) (bool, bool) {
 		return false, false
 	}
 	p.last = r.seq
-	won, aborted := false, false
-	if p.m.arena.plain {
-		won = r.slot.Obj.TAS(p.h) == 0
-	} else {
-		// The fast path: devirtualized steps, and (unless the arena was
-		// built NoDoorway) the constant-step uncontended doorway. The
-		// abortable variant is step-identical when no abort lands and
-		// falls back to running to completion when the elector offers
-		// no abort protocol.
-		var v int
-		v, aborted = r.slot.Obj.TASFastAbortable(p.h)
-		won = v == 0
-	}
-	if won {
+	// The doorway's concrete entry: step-identical to the portable TAS
+	// when no abort lands.
+	v, aborted := r.slot.Obj.TASFastAbortable(p.h)
+	if v == 0 {
 		// Claim the gate. The CAS can fail because the mutex was retired
 		// while our TAS was in flight, because an abort recovery of this
 		// round holds the gate, or because the round was already

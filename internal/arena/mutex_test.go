@@ -477,35 +477,6 @@ func TestTryLockLossAccounting(t *testing.T) {
 	}
 }
 
-// TestPlainModeMutex: the NoFastPath/Plain escape hatch (interface
-// dispatch, no doorway, full resets) must remain a correct mutex — it is
-// the baseline side of cmd/tasbench -mode=compare.
-func TestPlainModeMutex(t *testing.T) {
-	a, err := New(Config{N: 4, Shards: 2, Prealloc: 2, Factory: logStarFactory, Plain: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMutex(a)
-	counter := 0
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := proc(m, id)
-			for i := 0; i < 200; i++ {
-				tok := lock(t, p)
-				counter++
-				unlock(t, p, tok)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if counter != 4*200 {
-		t.Fatalf("counter = %d, want %d", counter, 4*200)
-	}
-}
-
 // TestSlotChurnStress hammers slot recycling end to end under the race
 // detector: workers mix blocking Locks with TryLock polling and
 // occasional revocations, forcing rounds to open, close and recycle

@@ -400,12 +400,10 @@ func (e *Election) Participate(h *concurrent.Handle, id int) (leader bool, epoch
 				break
 			}
 		}
-		won := false
-		if e.a.plain {
-			won = es.slot.Obj.TAS(h) == 0
-		} else {
-			won = es.slot.Obj.TASFast(h) == 0
-		}
+		// The doorway's concrete entry; an abort on h would resolve as a
+		// loss (v == 1).
+		v, _ := es.slot.Obj.TASFastAbortable(h)
+		won := v == 0
 		if won {
 			es.winner.Store(int64(id) + 1)
 		}
@@ -423,12 +421,7 @@ func (e *Election) Read(h *concurrent.Handle) (decided bool, epoch uint64) {
 		e.leaveEpoch(es)
 		return e.Read(h)
 	}
-	var d int
-	if e.a.plain {
-		d = es.slot.Obj.Read(h)
-	} else {
-		d = es.slot.Obj.ReadFast(h)
-	}
+	d := es.slot.Obj.Read(h)
 	e.leaveEpoch(es)
 	return d == 1, es.epoch
 }

@@ -33,28 +33,29 @@ func TestTwoProcAbortBeforeEntry(t *testing.T) {
 	}
 }
 
-// TestTwoProcAbortFreeIdentical: with the flag never set, the abortable
-// loop must keep the exactly-one-winner property against both the fast
-// and the portable peer — it is the same protocol on the same registers.
+// TestTwoProcAbortFreeIdentical: with the flag never set, both slots
+// running the abortable concrete loop keep the exactly-one-winner
+// property and neither reports an abort — it is the plain protocol on
+// the same registers. TestTwoProcFastMatchesPortable pairs it with the
+// portable Elect.
 func TestTwoProcAbortFreeIdentical(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		s := concurrent.NewSpace()
 		le := twoproc.New(s)
-		var won [2]bool
+		var won, aborted [2]bool
 		var wg sync.WaitGroup
 		for i := 0; i < 2; i++ {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
 				h := concurrent.NewHandle(id, int64(trial*2+id)+1)
-				if (trial+id)%2 == 0 {
-					won[id], _ = le.ElectFastAbortable(h, id)
-				} else {
-					won[id] = le.ElectFast(h, id)
-				}
+				won[id], aborted[id] = le.ElectFastAbortable(h, id)
 			}(i)
 		}
 		wg.Wait()
+		if aborted[0] || aborted[1] {
+			t.Fatalf("trial %d: aborted %v with no abort set", trial, aborted)
+		}
 		if won[0] == won[1] {
 			t.Fatalf("trial %d: outcomes %v, want exactly one winner", trial, won)
 		}
@@ -67,7 +68,7 @@ func TestTwoProcAbortFreeIdentical(t *testing.T) {
 //   - never two winners, abort or no abort;
 //   - a call that reports aborted did not win;
 //   - if neither call observed the abort, the execution is identical to
-//     ElectFast and elects exactly one winner;
+//     Elect and elects exactly one winner;
 //   - a winnerless outcome is legal only when some call aborted (the
 //     peer's deciding read may have caught the departing flag still up).
 func TestTwoProcAbortWinRace(t *testing.T) {

@@ -8,21 +8,25 @@
 // the Section 4 motivation for combining algorithms so that the adaptive
 // bound always holds.
 //
-// # The fast path
+// # The concrete surface
 //
 // The paper's step-complexity model charges one unit per Read or Write
 // and nothing else; real hardware charges for everything around the
 // atomic op too. This backend therefore keeps two congruent surfaces:
 //
-//   - the portable shm interfaces (Read/Write on shm.Register), used by
-//     any algorithm and required by the simulator-compatible code; and
-//   - a concrete, devirtualized surface (ReadReg/WriteReg on *Register,
-//     plus the Elector fast-path protocol) with no interface dispatch
-//     and no per-step type assertions, inlinable into the election step
-//     loops of internal/tas, internal/core and internal/arena.
+//   - the portable shm interfaces (Read/Write on shm.Register), which
+//     every algorithm is written against; and
+//   - a concrete, devirtualized surface (ReadReg/WriteReg on *Register)
+//     with no interface dispatch and no per-step type assertions.
 //
 // Both surfaces perform the same atomic operations and the same step
-// accounting, so an execution is indistinguishable across them.
+// accounting, so an execution is indistinguishable across them. Only
+// the uncontended doorway in front of every arena slot (tas.FastPath:
+// a splitter and a two-process final, plus the TAS done register) steps
+// through the concrete surface. Every acquisition runs it, and it is
+// only a handful of steps, so dispatch is a large share of its cost; the
+// electors behind it run under contention only and stay portable. This
+// package defines registers and handles, not election protocols.
 //
 // Registers are carved out of contiguous cache-line-padded banks owned
 // by their Space: one allocation per bank instead of one per register,
@@ -54,7 +58,7 @@
 // register's cache line and is consulted only behind a per-register
 // flag fixed at allocation, so spaces without Config.CountRMRs pay one
 // never-taken branch per step on data already in the line being
-// accessed — the …Fast loops are otherwise unchanged (BenchmarkMutex /
+// accessed — the step loops are otherwise unchanged (BenchmarkMutex /
 // BenchmarkSpaceReset guard this). With accounting on, counts are exact
 // for sequentially executed handles (the property-test and sweep
 // configuration); truly concurrent handles update the bookkeeping with
@@ -289,25 +293,6 @@ func (s *Space) Reset() {
 	}
 }
 
-// FullReset unconditionally rewrites every register to its initial
-// value, ignoring the dirty window. It is the pre-optimization baseline
-// kept for apples-to-apples benchmarking (cmd/tasbench -mode=compare)
-// and as a debugging escape hatch; Reset is state-equivalent and
-// strictly cheaper.
-func (s *Space) FullReset() {
-	if s.cfg.CountRMRs {
-		s.resetAccounting()
-	}
-	for _, b := range s.banks {
-		b.dirtyMap.Store(0)
-		for i := 0; i < b.used; i++ {
-			r := &b.regs[i]
-			r.v.Store(r.init)
-			r.dirty.Store(0)
-		}
-	}
-}
-
 // resetAccounting returns every register's RMR-accounting state to
 // pristine — no CC writer, no DSM home, unshared — and bumps the write
 // version so that handle-side CC cache entries recorded before the
@@ -501,9 +486,9 @@ func (h *Handle) DSMRMRs() int { return h.dsmRMRs }
 func (h *Handle) Abort() { h.aborted.Store(true) }
 
 // Aborting reports whether an abort has been requested and not cleared.
-// Abortable step loops poll it between shared-memory steps; the check is
-// a local atomic load, so it adds no step in the paper's model and no
-// coherence traffic unless an abort actually lands.
+// The doorway's step loops poll it between shared-memory steps; the
+// check is a local atomic load, so it adds no step in the paper's model
+// and no coherence traffic unless an abort actually lands.
 func (h *Handle) Aborting() bool { return h.aborted.Load() }
 
 // ClearAbort rearms the handle for the next acquisition attempt. Only
@@ -511,38 +496,6 @@ func (h *Handle) Aborting() bool { return h.aborted.Load() }
 // previous episode is indistinguishable from a fresh one, so owners
 // clear before re-entering an abortable loop).
 func (h *Handle) ClearAbort() { h.aborted.Store(false) }
-
-// Elector is the devirtualized fast-path protocol: leader electors that
-// implement it offer a step loop specialized to this backend's concrete
-// Handle and Register types (no interface dispatch per step). An
-// ElectFast call must be observably identical to the elector's portable
-// Elect — same shared-memory operations, same step counts, same coin
-// consumption — so the two surfaces are interchangeable mid-workload.
-type Elector interface {
-	ElectFast(h *Handle) bool
-}
-
-// AbortableElector is the abortable extension of the fast-path protocol.
-// ElectFastAbortable runs the same election as ElectFast but polls
-// h.Aborting() at every spin point. It returns (won, aborted):
-//
-//   - (true, false)  — the caller won; indistinguishable from ElectFast.
-//   - (false, false) — the caller genuinely lost: some other participant
-//     won or will win the election.
-//   - (false, true)  — the caller aborted. It has announced its
-//     departure (its protocol state can no longer block or elect
-//     anyone), but its loss implies nothing about a winner existing:
-//     if every live participant aborts, the election ends winnerless.
-//     Accounting for that case is the caller's job (the arena recycles
-//     a winnerless round; see internal/arena).
-//
-// In an execution where the abort flag is never set, ElectFastAbortable
-// is observably identical to ElectFast — same shared-memory operations,
-// same step counts, same coin consumption.
-type AbortableElector interface {
-	Elector
-	ElectFastAbortable(h *Handle) (won, aborted bool)
-}
 
 func mustRegister(r shm.Register) *Register {
 	reg, ok := r.(*Register)

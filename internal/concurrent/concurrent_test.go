@@ -1,6 +1,6 @@
 // Black-box tests of the concurrent backend. They live in an external
-// test package because the building-block packages (twoproc, ...) now
-// import concurrent for their devirtualized fast paths.
+// test package because the doorway's building blocks (splitter, twoproc,
+// tas) import concurrent for their concrete step code.
 package concurrent_test
 
 import (
@@ -74,11 +74,30 @@ func TestTwoProcLEOnRealBackend(t *testing.T) {
 	}
 }
 
-// TestTwoProcFastMatchesPortable: the devirtualized ElectFast keeps the
-// exactly-one-winner property under real concurrency, and a mixed pair
-// (one side fast, one portable) interoperates — the two surfaces hit the
-// same registers the same way.
+// TestTwoProcFastMatchesPortable: the concrete ElectFastAbortable, with
+// no abort set, is the portable Elect on the same registers. Run one
+// slot after the other, each side sees the same outcome, steps and
+// coin-stream state on both entries; raced under real concurrency, a
+// mixed pair (one side concrete, one portable) elects exactly one winner.
 func TestTwoProcFastMatchesPortable(t *testing.T) {
+	type outcome struct {
+		won, aborted bool
+		steps, next  int
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		var concrete, portable [2]outcome
+		sc, sp := concurrent.NewSpace(), concurrent.NewSpace()
+		lc, lp := twoproc.New(sc), twoproc.New(sp)
+		for id := 0; id < 2; id++ {
+			hc, hp := concurrent.NewHandle(id, seed), concurrent.NewHandle(id, seed)
+			won, aborted := lc.ElectFastAbortable(hc, id)
+			concrete[id] = outcome{won, aborted, hc.Steps(), hc.Intn(1 << 30)}
+			portable[id] = outcome{lp.Elect(hp, id), false, hp.Steps(), hp.Intn(1 << 30)}
+		}
+		if concrete != portable {
+			t.Fatalf("seed %d: concrete %+v != portable %+v", seed, concrete, portable)
+		}
+	}
 	for trial := 0; trial < 200; trial++ {
 		s := concurrent.NewSpace()
 		le := twoproc.New(s)
@@ -90,7 +109,7 @@ func TestTwoProcFastMatchesPortable(t *testing.T) {
 				defer wg.Done()
 				h := concurrent.NewHandle(id, int64(trial*2+id)+1)
 				if (trial+id)%2 == 0 {
-					won[id] = le.ElectFast(h, id)
+					won[id], _ = le.ElectFastAbortable(h, id)
 				} else {
 					won[id] = le.Elect(h, id)
 				}
@@ -192,44 +211,32 @@ func TestSpaceReset(t *testing.T) {
 
 // TestResetDirtyWindowEquivalence is the property test for the
 // dirty-window optimization: under randomized write patterns (random
-// subsets of registers, random values, several handles, several rounds),
-// a dirty-tracked Reset must leave the space state-equivalent to a
-// FullReset of an identically-treated twin space — and both equivalent
-// to the pristine initial state.
+// subsets of registers, random values, several rounds), a dirty-tracked
+// Reset must return every register to its own initial value, whether
+// or not the round wrote it.
 func TestResetDirtyWindowEquivalence(t *testing.T) {
 	rnd := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		nRegs := 1 + rnd.Intn(300) // spans multiple banks
-		dirty, full := concurrent.NewSpace(), concurrent.NewSpace()
+		s := concurrent.NewSpace()
 		inits := make([]shm.Value, nRegs)
-		dRegs := make([]shm.Register, nRegs)
-		fRegs := make([]shm.Register, nRegs)
-		for i := range dRegs {
+		regs := make([]shm.Register, nRegs)
+		for i := range regs {
 			inits[i] = shm.Value(rnd.Intn(100) - 50)
-			dRegs[i] = dirty.NewRegister(inits[i])
-			fRegs[i] = full.NewRegister(inits[i])
+			regs[i] = s.NewRegister(inits[i])
 		}
-		dirty.Seal()
-		full.Seal()
+		s.Seal()
 		h := concurrent.NewHandle(0, int64(trial)+1)
 		for round := 0; round < 3; round++ {
-			// Write a random subset with identical values to both spaces.
 			for i := 0; i < nRegs; i++ {
 				if rnd.Intn(3) == 0 {
-					v := shm.Value(rnd.Int63n(1000))
-					h.Write(dRegs[i], v)
-					h.Write(fRegs[i], v)
+					h.Write(regs[i], shm.Value(rnd.Int63n(1000)))
 				}
 			}
-			dirty.Reset()
-			full.FullReset()
+			s.Reset()
 			for i := 0; i < nRegs; i++ {
-				dv, fv := h.Read(dRegs[i]), h.Read(fRegs[i])
-				if dv != fv {
-					t.Fatalf("trial %d round %d reg %d: dirty-window reset %d != full reset %d", trial, round, i, dv, fv)
-				}
-				if dv != inits[i] {
-					t.Fatalf("trial %d round %d reg %d: value %d, want initial %d", trial, round, i, dv, inits[i])
+				if v := h.Read(regs[i]); v != inits[i] {
+					t.Fatalf("trial %d round %d reg %d: value %d, want initial %d", trial, round, i, v, inits[i])
 				}
 			}
 		}

@@ -1,13 +1,15 @@
 // RMR accounting on the real-memory backend: unit tests for the CC/DSM
-// charging rules and the cross-surface property test — the devirtualized
-// …Fast loops and the interface-dispatch loops must report identical step
-// and RMR counts for the same seeds, across the elector zoo.
+// charging rules and the cross-surface property test — the doorway's
+// concrete entries and the portable path must report identical outcomes,
+// step and RMR counts and coin use for the same seeds, over every inner
+// elector.
 package concurrent_test
 
 import (
 	"testing"
 
 	"repro/internal/agtv"
+	"repro/internal/combiner"
 	"repro/internal/concurrent"
 	"repro/internal/core"
 	"repro/internal/ratrace"
@@ -179,107 +181,172 @@ func TestRMRAccountingSurvivesReset(t *testing.T) {
 	}
 }
 
-// --- Fast vs portable equivalence across the elector zoo -------------------
+// --- The doorway's concrete entries vs the portable path -------------------
 
-// zooRunner runs one election attempt per handle and reports the winner
-// count; fast uses the devirtualized surface, portable the shm interface.
-type zooRunner struct {
-	fast     func(h *concurrent.Handle) bool
+// entries are one object's two ways in: its concrete entry, run with no
+// abort set, and the portable path it shadows. Both report a win.
+type entries struct {
+	concrete func(h *concurrent.Handle) bool
 	portable func(h shm.Handle) bool
 }
 
-// handleCosts is one handle's observable cost vector.
+// electorBuilder allocates a leader election for n processes on s.
+type electorBuilder func(s shm.Space, n int) tas.LeaderElector
+
+// object names a builder of one object with a concrete entry, for n
+// processes on s.
+type object struct {
+	name  string
+	build func(s shm.Space, n int) entries
+}
+
+func doorwayOver(inner electorBuilder) electorBuilder {
+	return func(s shm.Space, n int) tas.LeaderElector { return tas.NewFastPath(s, inner(s, n)) }
+}
+
+func fastPathOver(inner electorBuilder) object {
+	return object{"fastpath", func(s shm.Space, n int) entries {
+		f := tas.NewFastPath(s, inner(s, n))
+		return entries{
+			concrete: func(h *concurrent.Handle) bool { won, _ := f.ElectFastAbortable(h); return won },
+			portable: f.Elect,
+		}
+	}}
+}
+
+func tasOver(le electorBuilder) object {
+	return object{"tas", func(s shm.Space, n int) entries {
+		tt := tas.New(s, le(s, n))
+		return entries{
+			concrete: func(h *concurrent.Handle) bool { v, _ := tt.TASFastAbortable(h); return v == 0 },
+			portable: func(h shm.Handle) bool { return tt.TAS(h) == 0 },
+		}
+	}}
+}
+
+// overDoorway is FastPath over inner, and TAS over that doorway.
+func overDoorway(inner electorBuilder) []object {
+	return []object{fastPathOver(inner), tasOver(doorwayOver(inner))}
+}
+
+// The inner electors an arena slot's doorway can front.
+var (
+	logStar         electorBuilder = func(s shm.Space, n int) tas.LeaderElector { return core.NewLogStar(s, n) }
+	sifting         electorBuilder = func(s shm.Space, n int) tas.LeaderElector { return core.NewSifting(s, n) }
+	adaptiveSifting electorBuilder = func(s shm.Space, n int) tas.LeaderElector { return core.NewAdaptiveSifting(s, n) }
+	agtvTournament  electorBuilder = func(s shm.Space, n int) tas.LeaderElector { return agtv.New(s, n) }
+	ratRace         electorBuilder = func(s shm.Space, n int) tas.LeaderElector { return ratrace.NewSpaceEfficient(s, n) }
+	combined        electorBuilder = func(s shm.Space, n int) tas.LeaderElector {
+		return combiner.New(s, ratrace.NewSpaceEfficient(s, n), core.NewLogStar(s, n))
+	}
+)
+
+// doorwayCases are the objects with a concrete entry:
+//
+//   - FastPath over each inner elector, and TAS over that doorway;
+//   - "fastpath-logstar" and "tas-fastpath": the doorway over log*, on
+//     its own and under TAS, each kept on one space that Space.Reset
+//     recycles between rounds, as an arena slot is;
+//   - "tas-ratrace": TAS straight over RatRace, with no doorway, whose
+//     concrete entry falls back to the portable TAS.
+var doorwayCases = []struct {
+	name     string
+	recycled bool
+	objects  []object
+}{
+	{"logstar", false, overDoorway(logStar)},
+	{"sifting", false, overDoorway(sifting)},
+	{"adaptive-sifting", false, overDoorway(adaptiveSifting)},
+	{"agtv", false, overDoorway(agtvTournament)},
+	{"ratrace", false, overDoorway(ratRace)},
+	{"combined", false, overDoorway(combined)},
+	{"fastpath-logstar", true, []object{fastPathOver(logStar)}},
+	{"tas-fastpath", true, []object{tasOver(doorwayOver(logStar))}},
+	{"tas-ratrace", false, []object{tasOver(ratRace)}},
+}
+
+// handleCosts is one handle's observable outcome: whether it won, its
+// steps and RMRs in both models, and the next draw of its coin stream —
+// equal draws show the stream ended in the same state.
 type handleCosts struct {
 	won            bool
 	steps, cc, dsm int
+	next           int
 }
 
-// TestFastMatchesPortableCostsAcrossZoo is the satellite property test:
-// for the same seeds, the …Fast loops and the interface-dispatch loops
-// must produce identical winners, step counts, and RMR counts in both
-// models — the fast path is an optimization, not a different algorithm.
-// Handles run sequentially (each election call completes before the next
-// handle starts), which makes both executions deterministic and directly
-// comparable; the charging rules are exact for sequential handles.
-func TestFastMatchesPortableCostsAcrossZoo(t *testing.T) {
-	const k = 16
-	zoo := []struct {
-		name  string
-		build func(s shm.Space) zooRunner
-	}{
-		{"logstar", func(s shm.Space) zooRunner {
-			le := core.NewLogStar(s, k)
-			return zooRunner{fast: le.ElectFast, portable: le.Elect}
-		}},
-		{"sifting", func(s shm.Space) zooRunner {
-			le := core.NewSifting(s, k)
-			return zooRunner{fast: le.ElectFast, portable: le.Elect}
-		}},
-		{"adaptive-sifting", func(s shm.Space) zooRunner {
-			le := core.NewAdaptiveSifting(s, k)
-			return zooRunner{fast: le.ElectFast, portable: le.Elect}
-		}},
-		{"agtv", func(s shm.Space) zooRunner {
-			le := agtv.New(s, k)
-			return zooRunner{fast: le.ElectFast, portable: le.Elect}
-		}},
-		{"fastpath-logstar", func(s shm.Space) zooRunner {
-			f := tas.NewFastPath(s, core.NewLogStar(s, k))
-			return zooRunner{fast: f.ElectFast, portable: f.Elect}
-		}},
-		{"tas-fastpath", func(s shm.Space) zooRunner {
-			tt := tas.New(s, tas.NewFastPath(s, core.NewLogStar(s, k)))
-			return zooRunner{
-				fast:     func(h *concurrent.Handle) bool { return tt.TASFast(h) == 0 },
-				portable: func(h shm.Handle) bool { return tt.TAS(h) == 0 },
-			}
-		}},
-		{"tas-ratrace", func(s shm.Space) zooRunner {
-			// RatRace has no fast path: TASFast devirtualizes only the
-			// done register and falls back to the portable elector, and
-			// the counts must still agree.
-			tt := tas.New(s, ratrace.NewSpaceEfficient(s, k))
-			return zooRunner{
-				fast:     func(h *concurrent.Handle) bool { return tt.TASFast(h) == 0 },
-				portable: func(h shm.Handle) bool { return tt.TAS(h) == 0 },
-			}
-		}},
-	}
-
-	run := func(build func(s shm.Space) zooRunner, seed int64, useFast bool) []handleCosts {
-		s := concurrent.NewSpaceConfig(concurrent.Config{CountRMRs: true})
-		r := build(s)
+// sequentialCosts runs k handles one after another through an object,
+// each through the concrete entry or each through the portable one, in
+// one round per seed. Each round gets the object on a fresh RMR-counting
+// space, or, if recycled, the object stays on one space and Space.Reset
+// returns it to its initial state before the next round.
+func sequentialCosts(build func(s shm.Space, n int) entries, k int, seeds []int64, recycled, concrete bool) [][]handleCosts {
+	var s *concurrent.Space
+	var e entries
+	rounds := make([][]handleCosts, len(seeds))
+	for r, seed := range seeds {
+		if s != nil && recycled {
+			s.Reset()
+		} else {
+			s = concurrent.NewSpaceConfig(concurrent.Config{CountRMRs: true})
+			e = build(s, k)
+			s.Seal()
+		}
 		costs := make([]handleCosts, k)
-		for id := 0; id < k; id++ {
+		for id := range costs {
 			h := concurrent.NewHandle(id, seed)
 			var won bool
-			if useFast {
-				won = r.fast(h)
+			if concrete {
+				won = e.concrete(h)
 			} else {
-				won = r.portable(h)
+				won = e.portable(h)
 			}
-			costs[id] = handleCosts{won: won, steps: h.Steps(), cc: h.CCRMRs(), dsm: h.DSMRMRs()}
+			costs[id] = handleCosts{won: won, steps: h.Steps(), cc: h.CCRMRs(), dsm: h.DSMRMRs(), next: h.Intn(1 << 30)}
 		}
-		return costs
+		rounds[r] = costs
 	}
+	return rounds
+}
 
-	for _, z := range zoo {
-		t.Run(z.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 5; seed++ {
-				fast := run(z.build, seed, true)
-				portable := run(z.build, seed, false)
-				winners := 0
-				for id := 0; id < k; id++ {
-					if fast[id] != portable[id] {
-						t.Fatalf("seed %d handle %d: fast %+v != portable %+v",
-							seed, id, fast[id], portable[id])
-					}
-					if fast[id].won {
-						winners++
-					}
+// TestFastMatchesPortableCostsAcrossZoo pins the doorway's concrete
+// entries, FastPath.ElectFastAbortable and TAS.TASFastAbortable with no
+// abort set, to the portable path. In every case 16 handles run one
+// after another on an RMR-counting space, for 5 seeds, and every handle
+// must see the same outcome, steps, CC and DSM RMRs and coin-stream
+// state on both paths. Sequential handles make both executions
+// deterministic, and the charging rules are exact for them. A recycled
+// object must also cost exactly what a fresh one does, on both paths.
+// TestElectFastMatchesPortable in internal/tas races the two entries
+// against each other on one object.
+func TestFastMatchesPortableCostsAcrossZoo(t *testing.T) {
+	const k = 16
+	seeds := []int64{1, 2, 3, 4, 5}
+	for _, c := range doorwayCases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, obj := range c.objects {
+				concrete := sequentialCosts(obj.build, k, seeds, c.recycled, true)
+				portable := sequentialCosts(obj.build, k, seeds, c.recycled, false)
+				var fresh [][]handleCosts
+				if c.recycled {
+					fresh = sequentialCosts(obj.build, k, seeds, false, true)
 				}
-				if winners != 1 {
-					t.Fatalf("seed %d: %d winners, want 1", seed, winners)
+				for r, seed := range seeds {
+					winners := 0
+					for id := range concrete[r] {
+						if concrete[r][id] != portable[r][id] {
+							t.Fatalf("%s seed %d handle %d: concrete %+v != portable %+v",
+								obj.name, seed, id, concrete[r][id], portable[r][id])
+						}
+						if fresh != nil && concrete[r][id] != fresh[r][id] {
+							t.Fatalf("%s seed %d handle %d: recycled %+v != fresh %+v",
+								obj.name, seed, id, concrete[r][id], fresh[r][id])
+						}
+						if concrete[r][id].won {
+							winners++
+						}
+					}
+					if winners != 1 {
+						t.Fatalf("%s seed %d: %d winners, want 1", obj.name, seed, winners)
+					}
 				}
 			}
 		})

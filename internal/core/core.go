@@ -37,7 +37,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/concurrent"
 	"repro/internal/groupelect"
 	"repro/internal/shm"
 	"repro/internal/splitter"
@@ -67,12 +66,6 @@ type ChainLE struct {
 	les       []*twoproc.LE
 	arrayRegs map[int]bool
 
-	// gesFast[i] is ges[i]'s devirtualized fast path when it offers one
-	// (all stock group elections do), nil otherwise. The splitters and
-	// two-process objects carry their own cached concrete registers, so
-	// ElectCappedFast walks the whole chain without interface dispatch.
-	gesFast []concurrent.Elector
-
 	// LevelHook, if set before any Elect call, is invoked as each
 	// process enters a level (0-based). It feeds the Lemma 2.1
 	// experiments that compare measured level populations N_i against
@@ -93,12 +86,10 @@ func NewChain(s shm.Space, levels int, ge func(level int) groupelect.GroupElecto
 		sps:       make([]*splitter.Splitter, levels),
 		les:       make([]*twoproc.LE, levels),
 		arrayRegs: make(map[int]bool),
-		gesFast:   make([]concurrent.Elector, levels),
 	}
 	for i := 0; i < levels; i++ {
 		g := ge(i)
 		c.ges[i] = g
-		c.gesFast[i], _ = g.(concurrent.Elector)
 		if f, ok := g.(*groupelect.Fig1); ok {
 			for _, id := range f.ArrayRegisterIDs() {
 				c.arrayRegs[id] = true
@@ -160,57 +151,6 @@ func (c *ChainLE) climb(h shm.Handle, i int) Outcome {
 	}
 	for j := i - 1; j >= 0; j-- {
 		if !c.les[j].Elect(h, 1) {
-			return Lost
-		}
-	}
-	return Won
-}
-
-// ElectFast implements concurrent.Elector: the chain traversal with the
-// step loop devirtualized for the goroutine backend. Behaviour is
-// identical to Elect — same steps, same coins — only the dispatch cost
-// differs; the sim backend keeps the portable interface path.
-func (c *ChainLE) ElectFast(h *concurrent.Handle) bool {
-	return c.ElectCappedFast(h, len(c.ges)) == Won
-}
-
-// ElectCappedFast is the devirtualized ElectCapped.
-func (c *ChainLE) ElectCappedFast(h *concurrent.Handle, levelCap int) Outcome {
-	if levelCap > len(c.ges) {
-		levelCap = len(c.ges)
-	}
-	for i := 0; i < levelCap; i++ {
-		if c.LevelHook != nil {
-			c.LevelHook(h.ID(), i)
-		}
-		elected := false
-		if f := c.gesFast[i]; f != nil {
-			elected = f.ElectFast(h)
-		} else {
-			elected = c.ges[i].Elect(h)
-		}
-		if !elected {
-			return Lost
-		}
-		switch c.sps[i].SplitFast(h) {
-		case splitter.Left:
-			return Lost
-		case splitter.Stop:
-			return c.climbFast(h, i)
-		case splitter.Right:
-			// next level
-		}
-	}
-	return Exhausted
-}
-
-// climbFast is the devirtualized climb.
-func (c *ChainLE) climbFast(h *concurrent.Handle, i int) Outcome {
-	if !c.les[i].ElectFast(h, 0) {
-		return Lost
-	}
-	for j := i - 1; j >= 0; j-- {
-		if !c.les[j].ElectFast(h, 1) {
 			return Lost
 		}
 	}
@@ -395,31 +335,6 @@ func (a *AdaptiveLE) Elect(h shm.Handle) bool {
 			}
 			for j := i - 1; j >= 0; j-- {
 				if !a.finals[j].Elect(h, 1) {
-					return false
-				}
-			}
-			return true
-		case Exhausted:
-			// Proceed to the next, larger chain.
-		}
-	}
-	// Unreachable: the last chain has full length and cannot exhaust.
-	return false
-}
-
-// ElectFast implements concurrent.Elector for the Theorem 2.4 cascade:
-// identical behaviour to Elect with devirtualized step loops.
-func (a *AdaptiveLE) ElectFast(h *concurrent.Handle) bool {
-	for i := range a.subs {
-		switch a.subs[i].ElectCappedFast(h, a.caps[i]) {
-		case Lost:
-			return false
-		case Won:
-			if !a.finals[i].ElectFast(h, 0) {
-				return false
-			}
-			for j := i - 1; j >= 0; j-- {
-				if !a.finals[j].ElectFast(h, 1) {
 					return false
 				}
 			}

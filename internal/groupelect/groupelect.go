@@ -18,7 +18,6 @@ package groupelect
 import (
 	"math"
 
-	"repro/internal/concurrent"
 	"repro/internal/shm"
 )
 
@@ -44,11 +43,6 @@ type Fig1 struct {
 	l    int
 	flag shm.Register
 	r    []shm.Register // r[i] backs the paper's R[i+1], i.e. R[1..l+1]
-
-	// Concrete registers cached at construction on the concurrent
-	// backend; nil off it. Backs the devirtualized ElectFast.
-	flagC *concurrent.Register
-	rC    []*concurrent.Register
 }
 
 // NewFig1 allocates a Figure 1 group election sized for n processes.
@@ -57,19 +51,11 @@ func NewFig1(s shm.Space, n int) *Fig1 {
 	if l < 1 {
 		l = 1
 	}
-	g := &Fig1{
+	return &Fig1{
 		l:    l,
 		flag: s.NewRegister(0),
 		r:    shm.NewRegisterArray(s, l+1, 0),
 	}
-	if fc, ok := g.flag.(*concurrent.Register); ok {
-		g.flagC = fc
-		g.rC = make([]*concurrent.Register, len(g.r))
-		for i, r := range g.r {
-			g.rC[i] = r.(*concurrent.Register)
-		}
-	}
-	return g
 }
 
 // ArrayRegisterIDs returns the register ids of the R array. This is static
@@ -111,24 +97,6 @@ func (g *Fig1) Elect(h shm.Handle) bool {
 	return h.Read(g.r[x]) == 0 // lines 5-6: elected iff R[x+1] = 0
 }
 
-// ElectFast implements concurrent.Elector: the Figure 1 steps with no
-// interface dispatch. Identical behaviour to Elect.
-func (g *Fig1) ElectFast(h *concurrent.Handle) bool {
-	if g.flagC == nil {
-		return g.Elect(h)
-	}
-	if h.ReadReg(g.flagC) == 1 {
-		return false
-	}
-	h.WriteReg(g.flagC, 1)
-	x := 1
-	for x < g.l && !h.Coin(0.5) {
-		x++
-	}
-	h.WriteReg(g.rC[x-1], 1)
-	return h.ReadReg(g.rC[x]) == 0
-}
-
 // Sifter is the sifting group election at the heart of the AA-algorithm
 // [2]: each participant writes the shared register with probability pi and
 // otherwise reads it; it is elected iff it wrote, or read before any write
@@ -141,9 +109,8 @@ func (g *Fig1) ElectFast(h *concurrent.Handle) bool {
 // adversary the read/write types of pending steps are visible and
 // sim.NewReadersFirst drives it to f(k) = k.
 type Sifter struct {
-	pi   float64
-	reg  shm.Register
-	regC *concurrent.Register // cached concrete register for ElectFast
+	pi  float64
+	reg shm.Register
 }
 
 // NewSifter allocates a sifter with write probability pi, clamped to
@@ -155,9 +122,7 @@ func NewSifter(s shm.Space, pi float64) *Sifter {
 	if pi > 1 {
 		pi = 1
 	}
-	g := &Sifter{pi: pi, reg: s.NewRegister(0)}
-	g.regC, _ = g.reg.(*concurrent.Register)
-	return g
+	return &Sifter{pi: pi, reg: s.NewRegister(0)}
 }
 
 // SifterPi returns the balanced write probability 1/√k for expected
@@ -178,18 +143,6 @@ func (g *Sifter) Elect(h shm.Handle) bool {
 	return h.Read(g.reg) == 0
 }
 
-// ElectFast implements concurrent.Elector. Identical behaviour to Elect.
-func (g *Sifter) ElectFast(h *concurrent.Handle) bool {
-	if g.regC == nil {
-		return g.Elect(h)
-	}
-	if h.Coin(g.pi) {
-		h.WriteReg(g.regC, 1)
-		return true
-	}
-	return h.ReadReg(g.regC) == 0
-}
-
 // Dummy is the trivial group election: everyone is elected, no registers,
 // no steps. The paper replaces all but the first O(log n) group elections
 // of a chain with dummies to bound the space by O(n); correctness is
@@ -201,6 +154,3 @@ func NewDummy() Dummy { return Dummy{} }
 
 // Elect implements GroupElector.
 func (Dummy) Elect(shm.Handle) bool { return true }
-
-// ElectFast implements concurrent.Elector.
-func (Dummy) ElectFast(*concurrent.Handle) bool { return true }

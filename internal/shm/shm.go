@@ -27,13 +27,15 @@
 // its registers and handles interpose the adversary and the step-token
 // handshake, so algorithms reach it through these interfaces. The
 // concurrent backend additionally exposes a concrete devirtualized
-// surface (concurrent.Handle.ReadReg/WriteReg on *concurrent.Register,
-// and the concurrent.Elector fast-path protocol) with identical
-// semantics and step accounting; hot algorithm packages cache concrete
-// register pointers at construction time and provide *Fast step loops
-// that skip interface dispatch and per-step type assertions entirely.
-// Algorithms remain correct using only the interfaces below — the fast
-// paths are an optimization, never a requirement.
+// surface (concurrent.Handle.ReadReg/WriteReg on *concurrent.Register)
+// with identical semantics and step accounting. Exactly one algorithm
+// uses it: the constant-step uncontended doorway (tas.FastPath and
+// TAS.TASFastAbortable, over splitter.SplitFast and
+// twoproc.LE.ElectFastAbortable), which caches concrete register
+// pointers at construction. Every lock acquisition runs the doorway
+// first, and it is only a handful of steps, so interface dispatch is a
+// large share of its cost; every other elector is written once, against
+// the interfaces below, and runs unchanged on both backends.
 package shm
 
 // Value is the contents of a register. The paper's algorithms need only

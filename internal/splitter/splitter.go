@@ -54,7 +54,9 @@ type Splitter struct {
 
 	// Concrete registers cached at construction when the space is the
 	// concurrent backend; nil otherwise. They let SplitFast run the same
-	// four steps with no interface dispatch or type assertions.
+	// four steps with no interface dispatch or type assertions: the
+	// splitter is the front of tas.FastPath's doorway, the one place
+	// that keeps concrete step code.
 	xc, yc *concurrent.Register
 }
 
@@ -104,16 +106,11 @@ func (sp *Splitter) SplitFast(h *concurrent.Handle) Outcome {
 type RSplitter struct {
 	x shm.Register
 	y shm.Register
-
-	xc, yc *concurrent.Register // cached concrete registers, as in Splitter
 }
 
 // NewRandomized allocates a randomized splitter on s.
 func NewRandomized(s shm.Space) *RSplitter {
-	sp := &RSplitter{x: s.NewRegister(noProcess), y: s.NewRegister(0)}
-	sp.xc, _ = sp.x.(*concurrent.Register)
-	sp.yc, _ = sp.y.(*concurrent.Register)
-	return sp
+	return &RSplitter{x: s.NewRegister(noProcess), y: s.NewRegister(0)}
 }
 
 // Split performs the randomized split() operation. It takes at most 4
@@ -128,29 +125,6 @@ func (sp *RSplitter) Split(h shm.Handle) Outcome {
 		return Stop
 	}
 	return randDirection(h)
-}
-
-// SplitFast is the randomized Split specialized for the concurrent
-// backend.
-func (sp *RSplitter) SplitFast(h *concurrent.Handle) Outcome {
-	if sp.xc == nil {
-		return sp.Split(h)
-	}
-	h.WriteReg(sp.xc, shm.Value(h.ID()))
-	if h.ReadReg(sp.yc) != 0 {
-		if h.Coin(0.5) {
-			return Left
-		}
-		return Right
-	}
-	h.WriteReg(sp.yc, 1)
-	if h.ReadReg(sp.xc) == shm.Value(h.ID()) {
-		return Stop
-	}
-	if h.Coin(0.5) {
-		return Left
-	}
-	return Right
 }
 
 func randDirection(h shm.Handle) Outcome {

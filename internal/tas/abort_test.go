@@ -11,21 +11,16 @@ import (
 	"repro/internal/core"
 )
 
-func newAbortableTAS(t *testing.T, n int) (*TAS, *concurrent.Space) {
-	t.Helper()
+func newAbortableTAS(n int) *TAS {
 	s := concurrent.NewSpace()
-	obj := New(s, NewFastPath(s, core.NewLogStar(s, n)))
-	if !obj.Abortable() {
-		t.Fatal("fast-path TAS on the concurrent backend does not report Abortable")
-	}
-	return obj, s
+	return New(s, NewFastPath(s, core.NewLogStar(s, n)))
 }
 
 // TestTASAbortLeavesRoundWinnable is the heart of the abort-as-loss
 // semantics: an aborter returns 1 without writing done, so a later solo
 // caller still wins the object, and only a genuine loser flips the bit.
 func TestTASAbortLeavesRoundWinnable(t *testing.T) {
-	obj, _ := newAbortableTAS(t, 4)
+	obj := newAbortableTAS(4)
 
 	h0 := concurrent.NewHandle(0, 1)
 	h0.Abort()
@@ -35,7 +30,7 @@ func TestTASAbortLeavesRoundWinnable(t *testing.T) {
 	if h0.Steps() != 0 {
 		t.Fatalf("pre-entry abort cost %d steps, want 0", h0.Steps())
 	}
-	if got := obj.ReadFast(h0); got != 0 {
+	if got := obj.Read(h0); got != 0 {
 		t.Fatal("aborter branded the object: done bit set with no winner")
 	}
 
@@ -50,20 +45,17 @@ func TestTASAbortLeavesRoundWinnable(t *testing.T) {
 	if v, aborted := obj.TASFastAbortable(h2); v != 1 || aborted {
 		t.Fatalf("late loser TAS = (%d, %v), want (1, false)", v, aborted)
 	}
-	if got := obj.ReadFast(h2); got != 1 {
+	if got := obj.Read(h2); got != 1 {
 		t.Fatal("done bit clear after a genuine loser finished")
 	}
 }
 
-// TestTASAbortableFallback: without an abortable elector underneath, the
-// call must run to completion and never report aborted — the abort flag
-// is simply not observable at this layer.
+// TestTASAbortableFallback: without the doorway underneath, the call
+// must run to completion and never report aborted — the abort flag is
+// simply not observable at this layer.
 func TestTASAbortableFallback(t *testing.T) {
 	s := concurrent.NewSpace()
 	obj := New(s, core.NewLogStar(s, 2)) // no doorway: no abort protocol
-	if obj.Abortable() {
-		t.Fatal("bare log* elector reports Abortable")
-	}
 	h := concurrent.NewHandle(0, 1)
 	h.Abort()
 	v, aborted := obj.TASFastAbortable(h)
@@ -83,7 +75,7 @@ func TestTASAbortableFallback(t *testing.T) {
 func TestTASAbortWinRace(t *testing.T) {
 	const n = 6
 	for trial := 0; trial < 200; trial++ {
-		obj, _ := newAbortableTAS(t, n)
+		obj := newAbortableTAS(n)
 		var vs [n]int
 		var aborteds [n]bool
 		handles := make([]*concurrent.Handle, n)

@@ -11,6 +11,16 @@
 // has to survive a two-process final, while everyone else falls through
 // to the full election. Uncontended acquisitions then cost O(1) steps
 // regardless of the inner algorithm; contended ones pay 4 extra steps.
+//
+// The doorway holds the repository's only concrete step code: the
+// splitter's SplitFast, the final's ElectFastAbortable, and
+// FastPath.ElectFastAbortable and TAS.TASFastAbortable above them step
+// on *concurrent.Register through *concurrent.Handle with no interface
+// dispatch. Every acquisition runs the doorway first and it is a handful
+// of steps, so dispatch is a large share of its cost (ARCHITECTURE.md
+// records the measurement). The inner elections run far more steps per
+// call and only under contention, so they stay portable, written once
+// against shm.Handle.
 package tas
 
 import (
@@ -21,8 +31,8 @@ import (
 )
 
 // FastPath wraps an inner leader election with a constant-step
-// uncontended doorway. It is itself a LeaderElector (and a
-// concurrent.Elector), so it composes with New like any other elector.
+// uncontended doorway. It is itself a LeaderElector, so it composes
+// with New like any other elector.
 //
 // Protocol: every caller first enters a deterministic splitter.
 //
@@ -43,23 +53,16 @@ type FastPath struct {
 	sp    *splitter.Splitter
 	final *twoproc.LE
 	inner LeaderElector
-
-	innerFast concurrent.Elector // inner's fast path, when it has one
 }
 
-var (
-	_ LeaderElector               = (*FastPath)(nil)
-	_ concurrent.AbortableElector = (*FastPath)(nil)
-)
+var _ LeaderElector = (*FastPath)(nil)
 
 // NewFastPath allocates the doorway (one splitter + one two-process
 // final, four registers) on s in front of inner. Inner must be built on
 // the same space so that a Space.Reset recycles doorway and inner
 // together.
 func NewFastPath(s shm.Space, inner LeaderElector) *FastPath {
-	f := &FastPath{sp: splitter.New(s), final: twoproc.New(s), inner: inner}
-	f.innerFast, _ = inner.(concurrent.Elector)
-	return f
+	return &FastPath{sp: splitter.New(s), final: twoproc.New(s), inner: inner}
 }
 
 // Elect implements LeaderElector.
@@ -73,28 +76,26 @@ func (f *FastPath) Elect(h shm.Handle) bool {
 	return false
 }
 
-// ElectFast implements concurrent.Elector: the identical protocol with
-// doorway and final devirtualized (and the inner election too, when it
-// offers a fast path).
-func (f *FastPath) ElectFast(h *concurrent.Handle) bool {
-	if f.sp.SplitFast(h) == splitter.Stop {
-		return f.final.ElectFast(h, 0)
-	}
-	var won bool
-	if f.innerFast != nil {
-		won = f.innerFast.ElectFast(h)
-	} else {
-		won = f.inner.Elect(h)
-	}
-	if won {
-		return f.final.ElectFast(h, 1)
-	}
-	return false
-}
-
-// ElectFastAbortable implements concurrent.AbortableElector. The abort
-// flag is polled at the doorway's decision points and inside the final's
-// spin loop (the only unbounded wait in the composition):
+// ElectFastAbortable is Elect specialized for the concurrent backend:
+// the identical protocol with doorway and final devirtualized, while the
+// inner election runs through its portable Elect. It returns (won,
+// aborted):
+//
+//   - (true, false)  — the caller won.
+//   - (false, false) — the caller genuinely lost: some other participant
+//     won or will win the election.
+//   - (false, true)  — the caller aborted. It has announced its
+//     departure (its protocol state can no longer block or elect
+//     anyone), but its loss implies nothing about a winner existing:
+//     if every live participant aborts, the election ends winnerless.
+//     Accounting for that case is the caller's job (the arena recycles
+//     a winnerless round; see internal/arena).
+//
+// With the abort flag never set the call is observably identical to
+// Elect — same shared-memory operations, same step counts, same coin
+// consumption. The flag is polled at the doorway's decision points and
+// inside the final's spin loop (the only unbounded wait in the
+// composition):
 //
 //   - Abort before the splitter: leave without entering; zero steps.
 //   - Stop caller: the final (slot 0) runs abortably.
@@ -119,13 +120,7 @@ func (f *FastPath) ElectFastAbortable(h *concurrent.Handle) (won, aborted bool) 
 	if h.Aborting() {
 		return false, true
 	}
-	var innerWon bool
-	if f.innerFast != nil {
-		innerWon = f.innerFast.ElectFast(h)
-	} else {
-		innerWon = f.inner.Elect(h)
-	}
-	if innerWon {
+	if f.inner.Elect(h) {
 		return f.final.ElectFastAbortable(h, 1)
 	}
 	return false, false

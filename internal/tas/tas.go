@@ -41,20 +41,18 @@ type TAS struct {
 	le   LeaderElector
 	done shm.Register
 
-	// Cached at construction for the devirtualized TASFast/ReadFast:
-	// the concrete done register (concurrent backend only) and the
-	// elector's fast path when it offers one.
-	doneC   *concurrent.Register
-	leFast  concurrent.Elector
-	leAbort concurrent.AbortableElector
+	// Cached at construction for TASFastAbortable: the concrete done
+	// register (concurrent backend only) and le itself when it is the
+	// doorway.
+	doneC *concurrent.Register
+	fp    *FastPath
 }
 
 // New builds a TAS object from le, allocating its done register on s.
 func New(s shm.Space, le LeaderElector) *TAS {
 	t := &TAS{le: le, done: s.NewRegister(0)}
 	t.doneC, _ = t.done.(*concurrent.Register)
-	t.leFast, _ = le.(concurrent.Elector)
-	t.leAbort, _ = le.(concurrent.AbortableElector)
+	t.fp, _ = le.(*FastPath)
 	return t
 }
 
@@ -71,39 +69,14 @@ func (t *TAS) TAS(h shm.Handle) int {
 	return 1
 }
 
-// TASFast is TAS specialized for the concurrent backend: the same
-// transformation — done-read, elect, possible done-write — with the step
-// loop devirtualized end to end when the elector provides a fast path.
-// Observably identical to TAS (same steps, same linearization argument);
-// falls back to the portable path off the concurrent backend.
-func (t *TAS) TASFast(h *concurrent.Handle) int {
-	if t.doneC == nil {
-		return t.TAS(h)
-	}
-	if h.ReadReg(t.doneC) == 1 {
-		return 1
-	}
-	var won bool
-	if t.leFast != nil {
-		won = t.leFast.ElectFast(h)
-	} else {
-		won = t.le.Elect(h)
-	}
-	if won {
-		return 0
-	}
-	h.WriteReg(t.doneC, 1)
-	return 1
-}
-
-// Abortable reports whether TASFastAbortable can actually abort: the
-// object is on the concurrent backend and its elector implements the
-// abortable fast-path protocol.
-func (t *TAS) Abortable() bool { return t.doneC != nil && t.leAbort != nil }
-
-// TASFastAbortable is TASFast with an abort protocol. It returns
-// (v, aborted); aborted is true iff the call resolved because of the
-// handle's abort flag, in which case v is 1 (an abort is a loss).
+// TASFastAbortable is TAS specialized for the concurrent backend over
+// the doorway (a FastPath elector): the same transformation — done-read,
+// elect, possible done-write — with the done register and the doorway
+// devirtualized, plus an abort protocol. With no abort set it is
+// observably identical to TAS (same steps, same coins, same
+// linearization argument). It returns (v, aborted); aborted is true iff
+// the call resolved because of the handle's abort flag, in which case v
+// is 1 (an abort is a loss).
 //
 // Crucially, an aborter does NOT write the done register. A genuine
 // loser's done-write is justified by a winner that exists (or is about
@@ -113,11 +86,12 @@ func (t *TAS) Abortable() bool { return t.doneC != nil && t.leAbort != nil }
 // spent when nobody won it. Leaving done untouched keeps the round
 // winnable by later participants; a round that drains with only
 // aborters is detected and recycled by the arena's refcount (see
-// internal/arena). Without an abortable elector underneath, the call
-// falls back to running TASFast to completion (aborted == false).
+// internal/arena). Off the concurrent backend or without the doorway
+// underneath, the call falls back to running TAS to completion
+// (aborted == false).
 func (t *TAS) TASFastAbortable(h *concurrent.Handle) (v int, aborted bool) {
-	if t.doneC == nil || t.leAbort == nil {
-		return t.TASFast(h), false
+	if t.doneC == nil || t.fp == nil {
+		return t.TAS(h), false
 	}
 	if h.Aborting() {
 		return 1, true
@@ -125,7 +99,7 @@ func (t *TAS) TASFastAbortable(h *concurrent.Handle) (v int, aborted bool) {
 	if h.ReadReg(t.doneC) == 1 {
 		return 1, false
 	}
-	won, ab := t.leAbort.ElectFastAbortable(h)
+	won, ab := t.fp.ElectFastAbortable(h)
 	if won {
 		return 0, false
 	}
@@ -141,17 +115,6 @@ func (t *TAS) TASFastAbortable(h *concurrent.Handle) (v int, aborted bool) {
 // some loser finished, which implies the winner's TAS already happened.
 func (t *TAS) Read(h shm.Handle) int {
 	if h.Read(t.done) == 1 {
-		return 1
-	}
-	return 0
-}
-
-// ReadFast is Read specialized for the concurrent backend.
-func (t *TAS) ReadFast(h *concurrent.Handle) int {
-	if t.doneC == nil {
-		return t.Read(h)
-	}
-	if h.ReadReg(t.doneC) == 1 {
 		return 1
 	}
 	return 0

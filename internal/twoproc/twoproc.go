@@ -48,7 +48,9 @@ type LE struct {
 	flags [2]shm.Register
 
 	// Concrete registers cached at construction on the concurrent
-	// backend (nil otherwise), backing the devirtualized ElectFast.
+	// backend (nil otherwise), backing ElectFastAbortable: the final of
+	// tas.FastPath's doorway, the one place that keeps concrete step
+	// code.
 	cflags [2]*concurrent.Register
 }
 
@@ -85,34 +87,9 @@ func (l *LE) Elect(h shm.Handle, slot int) bool {
 	}
 }
 
-// ElectFast is Elect specialized for the concurrent backend: the same
-// protocol — same steps, same coin consumption — with every Read, Write
-// and Coin devirtualized. Falls back to Elect off that backend.
-func (l *LE) ElectFast(h *concurrent.Handle, slot int) bool {
-	mine, other := l.cflags[slot], l.cflags[1-slot]
-	if mine == nil {
-		return l.Elect(h, slot)
-	}
-	last := up
-	h.WriteReg(mine, up)
-	for {
-		v := h.ReadReg(other)
-		switch {
-		case last == up && v == down:
-			return true
-		case last == down && v == up:
-			return false
-		}
-		if h.Coin(0.5) {
-			last = up
-		} else {
-			last = down
-		}
-		h.WriteReg(mine, last)
-	}
-}
-
-// ElectFastAbortable is ElectFast with an abort protocol. It polls
+// ElectFastAbortable is Elect specialized for the concurrent backend,
+// with every Read, Write and Coin devirtualized, plus an abort
+// protocol. Off that backend it falls back to Elect. It polls
 // h.Aborting() at every spin point and, when an abort lands, resolves
 // the call to a loss after announcing departure:
 //
@@ -130,7 +107,7 @@ func (l *LE) ElectFast(h *concurrent.Handle, slot int) bool {
 // before we lowered it, it loses too and the object ends winnerless.
 // The (false, true) return tells the caller it is in that weaker
 // regime. In abort-free executions the call is step- and coin-identical
-// to ElectFast.
+// to Elect.
 func (l *LE) ElectFastAbortable(h *concurrent.Handle, slot int) (won, aborted bool) {
 	mine, other := l.cflags[slot], l.cflags[1-slot]
 	if mine == nil {
@@ -215,20 +192,6 @@ func (l *LE3) Elect(h shm.Handle, role Role) bool {
 		return l.semifinal.Elect(h, 0) && l.final.Elect(h, 0)
 	case FromRight:
 		return l.semifinal.Elect(h, 1) && l.final.Elect(h, 0)
-	default:
-		panic("twoproc: invalid role")
-	}
-}
-
-// ElectFast is Elect specialized for the concurrent backend.
-func (l *LE3) ElectFast(h *concurrent.Handle, role Role) bool {
-	switch role {
-	case Here:
-		return l.final.ElectFast(h, 1)
-	case FromLeft:
-		return l.semifinal.ElectFast(h, 0) && l.final.ElectFast(h, 0)
-	case FromRight:
-		return l.semifinal.ElectFast(h, 1) && l.final.ElectFast(h, 0)
 	default:
 		panic("twoproc: invalid role")
 	}

@@ -300,11 +300,6 @@ type Proc struct {
 // Elect may be called once; further calls panic.
 func (p *Proc) Elect() bool {
 	p.markUsed("Elect")
-	// Devirtualized step loop when the algorithm offers one; observably
-	// identical to the portable path.
-	if fast, ok := p.le.(concurrent.Elector); ok {
-		return fast.ElectFast(p.h)
-	}
 	return p.le.Elect(p.h)
 }
 
@@ -365,12 +360,12 @@ func (p *TASProc) TAS() int {
 		panic("randtas: TAS called twice on one TASProc (objects are one-shot)")
 	}
 	p.used = true
-	return p.obj.TASFast(p.h)
+	return p.obj.TAS(p.h)
 }
 
 // Read returns the current bit without setting it. It may be called any
 // number of times.
-func (p *TASProc) Read() int { return p.obj.ReadFast(p.h) }
+func (p *TASProc) Read() int { return p.obj.Read(p.h) }
 
 // Steps reports the shared-memory steps this process has taken.
 func (p *TASProc) Steps() int { return p.h.Steps() }
@@ -389,13 +384,6 @@ type ArenaOptions struct {
 	// arena.DefaultPrealloc). A Mutex recycles steadily with as few as
 	// two live slots.
 	Prealloc int
-	// NoFastPath disables the concurrent backend's fast-path machinery —
-	// the devirtualized step loops, the constant-step uncontended
-	// doorway, and the dirty-window register recycling — and forces the
-	// portable interface paths everywhere. It exists so cmd/tasbench
-	// -mode=compare can measure the fast-path overhaul against its own
-	// baseline within one binary; leave it false in production.
-	NoFastPath bool
 }
 
 // ArenaShardStats re-exports the arena's per-shard counters.
@@ -430,11 +418,6 @@ func NewArena(opts ArenaOptions) (*Arena, error) {
 		N:        opts.N,
 		Shards:   opts.Shards,
 		Prealloc: opts.Prealloc,
-		Plain:    opts.NoFastPath,
-		// The doorway pays four extra steps under contention to make
-		// solo acquisitions O(1); skip it when the inner election is
-		// already about that cheap solo (a shallow AGTV tournament).
-		NoDoorway: opts.Algorithm == AGTV && opts.N <= 8,
 		Factory: func(s *concurrent.Space, n int) tas.LeaderElector {
 			le, ferr := buildElector(s, opts.Options)
 			if ferr != nil {
