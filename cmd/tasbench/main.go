@@ -53,7 +53,7 @@ func main() {
 		quick      = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
 
 		duration = flag.Duration("duration", 2*time.Second, "net: load duration")
-		algos    = flag.String("algos", "combined,logstar,ratrace,agtv", "net: comma-separated algorithms; the first picks the in-process server's")
+		algo     = flag.String("algo", "combined", "net: in-process server's TAS algorithm: combined, logstar, sifting, adaptive-sifting, ratrace, ratrace-original, agtv")
 
 		clients  = flag.Int("clients", 8, "net: concurrent client connections")
 		pipeline = flag.Int("pipeline", 16, "net: ACQUIRE/RELEASE pairs per pipelined batch")
@@ -122,7 +122,7 @@ func main() {
 			abandon:  *abandon,
 			wait:     *netWait,
 			addr:     *netAddr,
-			algos:    *algos,
+			algo:     *algo,
 			seed:     *seed,
 			out:      *netOut,
 			floor:    *netFloor,

@@ -59,7 +59,7 @@
 //	         [-clients C] [-pipeline D] [-locks L] [-duration D] [-ttl TTL]
 //	         [-abandon N] [-wait D] [-addr host:port]
 //	         [-netout BENCH_PR8.json]
-//	         [-netfloor OPS] [-algos combined,...] [-seed S]
+//	         [-netfloor OPS] [-algo combined] [-seed S]
 //	tasbench -mode=hold [-addr host:port] [-holdlock NAME] [-ttl TTL]
 //	         [-holdfor D]
 package main
@@ -72,7 +72,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -92,7 +91,7 @@ type netConfig struct {
 	abandon  int           // churn: forget every Nth release
 	wait     time.Duration // flood: per-ACQUIRE server-side wait budget
 	addr     string        // "" = in-process loopback server
-	algos    string        // first entry picks the server algorithm
+	algo     string        // in-process server's algorithm
 	seed     int64
 	out      string
 	floor    float64 // minimum ops/sec gate (0 = off)
@@ -190,11 +189,10 @@ func runNet(cfg netConfig) error {
 	if cfg.scenario == "flood" && cfg.wait <= 0 {
 		cfg.wait = 5 * time.Millisecond
 	}
-	algos, err := throughputAlgos(cfg.algos)
+	algo, err := randtas.ParseAlgorithm(cfg.algo)
 	if err != nil {
 		return err
 	}
-	algo := algos[0]
 
 	addr := cfg.addr
 	var srv *server.Server
@@ -250,7 +248,7 @@ func runNet(cfg netConfig) error {
 		go func(w int) {
 			defer wg.Done()
 			res := &workers[w]
-			c, err := tasclient.Dial(addr)
+			c, err := tasclient.DialContext(context.Background(), addr)
 			if err != nil {
 				res.err = err
 				return
@@ -315,7 +313,7 @@ func runNet(cfg netConfig) error {
 	// tripped, and — when the server is ours alone, in the clean pairs
 	// scenario — its per-lock round counts must account for every pair
 	// the generator issued.
-	probe, err := tasclient.Dial(addr)
+	probe, err := tasclient.DialContext(context.Background(), addr)
 	if err != nil {
 		return fmt.Errorf("net: stats probe: %v", err)
 	}
@@ -633,7 +631,7 @@ func (res *netWorker) runDisconnect(c *tasclient.Client, cfg netConfig, w int, d
 		c.Close()
 		c = nil
 		for time.Now().Before(deadline) {
-			if c, err = tasclient.Dial(addr); err == nil {
+			if c, err = tasclient.DialContext(context.Background(), addr); err == nil {
 				break
 			}
 			// Transiently full while the server reaps our corpses.
@@ -698,7 +696,7 @@ func awaitSlotReclaim(addr string, budget time.Duration) error {
 		// Dial failures are transient right after the storm (connection
 		// slots still held by corpses the server is reaping), so only
 		// the budget turns them fatal.
-		if probe, err := tasclient.Dial(addr); err == nil {
+		if probe, err := tasclient.DialContext(context.Background(), addr); err == nil {
 			st, serr := probe.Stats(context.Background())
 			probe.Close()
 			if serr == nil {
@@ -728,7 +726,7 @@ func runHold(addr, lock string, ttl, holdfor time.Duration) error {
 	if addr == "" {
 		return fmt.Errorf("hold: -addr is required")
 	}
-	c, err := tasclient.Dial(addr)
+	c, err := tasclient.DialContext(context.Background(), addr)
 	if err != nil {
 		return err
 	}
@@ -763,27 +761,6 @@ func opLabel(op tasclient.Op) string {
 	default:
 		return op.Name
 	}
-}
-
-// throughputAlgos parses the -algos list against the public algorithm
-// names.
-func throughputAlgos(list string) ([]randtas.Algorithm, error) {
-	var out []randtas.Algorithm
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, err := randtas.ParseAlgorithm(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -algos list")
-	}
-	return out, nil
 }
 
 // sampleCap bounds per-worker latency sample memory; past the cap the

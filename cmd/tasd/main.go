@@ -11,7 +11,7 @@
 //
 //	tasd [-addr 127.0.0.1:7420] [-max-clients 64] [-algo combined]
 //	     [-shards S] [-prealloc P] [-seed S] [-lease-sweep 5ms]
-//	     [-max-idle 0] [-evict-interval 0]
+//	     [-max-idle 0]
 //	     [-max-inflight 0] [-max-waiters 0] [-write-timeout 0]
 //	     [-drain-timeout 10s] [-quiet]
 //
@@ -52,8 +52,7 @@ func main() {
 		prealloc     = flag.Int("prealloc", 0, "preallocated slots per shard (0 = default)")
 		seed         = flag.Int64("seed", 0, "deterministic coin seed (0 = per-run random)")
 		leaseSweep   = flag.Duration("lease-sweep", 5*time.Millisecond, "lease sweeper interval — a lease is enforced within TTL + this")
-		maxIdle      = flag.Duration("max-idle", 0, "evict named locks idle this long (0 = never evict)")
-		evictTick    = flag.Duration("evict-interval", 0, "eviction pass cadence (0 = every max-idle)")
+		maxIdle      = flag.Duration("max-idle", 0, "evict named locks idle this long, checked every max-idle (0 = never evict)")
 		maxInflight  = flag.Int("max-inflight", 0, "shed blocked ACQUIREs beyond this many server-wide (0 = unbounded)")
 		maxWaiters   = flag.Int("max-waiters", 0, "shed blocked ACQUIREs beyond this many per lock (0 = unbounded)")
 		writeTimeout = flag.Duration("write-timeout", 0, "evict a client whose response writes stall this long (0 = never)")
@@ -71,19 +70,18 @@ func main() {
 		logf = func(string, ...interface{}) {}
 	}
 	srv, err := server.New(server.Config{
-		Addr:          *addr,
-		MaxClients:    *maxClients,
-		Algorithm:     algorithm,
-		Seed:          *seed,
-		ArenaShards:   *shards,
-		Prealloc:      *prealloc,
-		LeaseSweep:    *leaseSweep,
-		MaxIdle:       *maxIdle,
-		EvictInterval: *evictTick,
-		MaxInflight:   *maxInflight,
-		MaxWaiters:    *maxWaiters,
-		WriteTimeout:  *writeTimeout,
-		Logf:          logf,
+		Addr:         *addr,
+		MaxClients:   *maxClients,
+		Algorithm:    algorithm,
+		Seed:         *seed,
+		ArenaShards:  *shards,
+		Prealloc:     *prealloc,
+		LeaseSweep:   *leaseSweep,
+		MaxIdle:      *maxIdle,
+		MaxInflight:  *maxInflight,
+		MaxWaiters:   *maxWaiters,
+		WriteTimeout: *writeTimeout,
+		Logf:         logf,
 	})
 	if err != nil {
 		log.Fatalf("tasd: %v", err)

@@ -64,7 +64,7 @@ func main() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := tasclient.Dial(addr)
+			c, err := tasclient.DialContext(ctx, addr)
 			if err != nil {
 				panic(err)
 			}
@@ -128,7 +128,7 @@ func main() {
 	}
 
 	// Re-electable leadership: reset epoch 1, elect again in epoch 2.
-	c, err := tasclient.Dial(addr)
+	c, err := tasclient.DialContext(ctx, addr)
 	if err != nil {
 		panic(err)
 	}
@@ -149,7 +149,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	c2, err := tasclient.Dial(addr)
+	c2, err := tasclient.DialContext(ctx, addr)
 	if err != nil {
 		panic(err)
 	}

@@ -12,7 +12,11 @@
 //     Now/Sleep/AfterFunc and spawns goroutines through Go. Real (the
 //     default) forwards to the time package and the go statement, with
 //     zero added cost on the hot path. SimClock implements the same
-//     interface over a virtual event heap.
+//     interface over a virtual event heap. The two waits a service
+//     cannot express as a Sleep — blocking on a channel (Await) and a
+//     busy-wait iteration (Idle) — are Clock methods too, so a service
+//     runs one code path whichever clock it is given and never asks
+//     which one that is.
 //
 //   - Fabric: an in-memory transport that satisfies net.Listener and
 //     net.Conn, scheduling every byte delivery as a SimClock event so
@@ -26,7 +30,10 @@
 // wake-up flows through the event heap in (time, sequence) order.
 package dst
 
-import "time"
+import (
+	"context"
+	"time"
+)
 
 // Clock abstracts time and goroutine spawning so a service can run
 // either on the wall clock or inside a SimClock. Implementations must be
@@ -50,6 +57,18 @@ type Clock interface {
 	// a bare go statement would be invisible to the scheduler and
 	// break determinism.
 	Go(f func())
+	// Await blocks until done is closed (nil) or ctx is done
+	// (ctx.Err()). Under simulation a channel close is invisible to
+	// the scheduler, so Await checks done, then ctx, then sleeps a
+	// fixed virtual poll interval and repeats; a simulated caller's
+	// ctx should therefore be one only the simulation cancels, never a
+	// wall-clock deadline.
+	Await(ctx context.Context, done <-chan struct{}) error
+	// Idle marks one iteration of a busy-wait. On the wall clock it
+	// does nothing; under simulation it parks the actor for a short
+	// virtual interval, since a spinning actor would keep the scheduler
+	// from ever advancing time.
+	Idle()
 }
 
 // Timer is the handle returned by Clock.AfterFunc.
@@ -71,6 +90,17 @@ func (realClock) Now() time.Time                  { return time.Now() }    //tas
 func (realClock) Since(t time.Time) time.Duration { return time.Since(t) } //taslint:allow detclock -- Real is the wall-clock passthrough
 func (realClock) Sleep(d time.Duration)           { time.Sleep(d) }        //taslint:allow detclock -- Real is the wall-clock passthrough
 func (realClock) Go(f func())                     { go f() }               //taslint:allow detclock -- Real maps Clock.Go to a plain goroutine by definition
+
+func (realClock) Await(ctx context.Context, done <-chan struct{}) error {
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (realClock) Idle() {}
 
 func (realClock) AfterFunc(d time.Duration, f func()) Timer {
 	return realTimer{t: time.AfterFunc(d, f)} //taslint:allow detclock -- Real is the wall-clock passthrough

@@ -2,6 +2,7 @@ package dst
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -129,6 +130,33 @@ func (c *SimClock) Sleep(d time.Duration) {
 	c.parkLocked(w)
 	c.mu.Unlock()
 }
+
+// Virtual poll intervals of Await and Idle. Every simulated trace
+// depends on them: changing either moves the schedule of every drain
+// and every contended ACQUIRE.
+const (
+	awaitPoll = 500 * time.Microsecond
+	idlePoll  = 200 * time.Microsecond
+)
+
+// Await implements Clock by polling: done first, then ctx, then one
+// awaitPoll of virtual sleep.
+func (c *SimClock) Await(ctx context.Context, done <-chan struct{}) error {
+	for {
+		select {
+		case <-done:
+			return nil
+		default:
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		c.Sleep(awaitPoll)
+	}
+}
+
+// Idle implements Clock: the actor parks for idlePoll of virtual time.
+func (c *SimClock) Idle() { c.Sleep(idlePoll) }
 
 // AfterFunc implements Clock: f runs as a new actor once virtual time
 // reaches Now+d, unless stopped first.

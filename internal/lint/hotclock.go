@@ -12,9 +12,9 @@ import (
 // against the sweeper-maintained coarse clock (Server.coarseNow, one
 // atomic load). Inside the hot-path function set of internal/server,
 // any call to time.Now/Since or to a Clock-shaped Now()/Since()/Sleep()
-// method is flagged; the few sanctioned precise-clock reads (write- and
-// probe-deadline arming, the sim-only virtual park) carry
-// //taslint:allow hotclock directives stating why.
+// method is flagged; the two sanctioned precise-clock reads (write- and
+// probe-deadline arming) carry //taslint:allow hotclock directives
+// stating why.
 var HotClock = &Analyzer{
 	Name: "hotclock",
 	Doc:  "forbid precise-clock reads (time.Now or Clock.Now/Since/Sleep) in the server request/grant hot path",

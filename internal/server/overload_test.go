@@ -187,7 +187,7 @@ func TestAbortShedRace(t *testing.T) {
 	holderDone.Add(1)
 	go func() {
 		defer holderDone.Done()
-		c, err := tasclient.Dial(addr)
+		c, err := tasclient.DialContext(context.Background(), addr)
 		if err != nil {
 			holderErr = err
 			return
@@ -226,7 +226,7 @@ func TestAbortShedRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := tasclient.Dial(addr)
+			c, err := tasclient.DialContext(context.Background(), addr)
 			if err != nil {
 				disasters.Add(1)
 				t.Errorf("racer %d dial: %v", i, err)
@@ -264,7 +264,7 @@ func TestAbortShedRace(t *testing.T) {
 					c.Close()
 					c = nil
 					for time.Now().Before(deadline) {
-						if c, err = tasclient.Dial(addr); err == nil {
+						if c, err = tasclient.DialContext(context.Background(), addr); err == nil {
 							break
 						}
 						time.Sleep(time.Millisecond)

@@ -109,8 +109,6 @@ type Config struct {
 	Seed        int64
 	ArenaShards int
 	Prealloc    int
-	// RegistryShards shards the name directory (0 = default).
-	RegistryShards int
 	// MaxFrame bounds accepted request frames (0 = wire.DefaultMaxFrame).
 	MaxFrame int
 	// LeaseSweep is the lease sweeper's scan interval — the granularity
@@ -136,24 +134,23 @@ type Config struct {
 	// locks and process slot are recovered by the normal
 	// disconnect-recovery path. 0 means writes may block indefinitely.
 	WriteTimeout time.Duration
-	// MaxIdle, when positive, enables server-driven eviction: named
-	// locks whose counters have been quiet for at least this long are
-	// retired on the eviction timer, their final slots returned to the
-	// arena and the server's per-name state (including retained procs)
-	// dropped. A name used again simply starts fresh.
+	// MaxIdle, when positive, enables server-driven eviction: every
+	// MaxIdle the sweeper runs an eviction pass, retiring named locks
+	// whose counters have been quiet for at least MaxIdle, returning
+	// their final slots to the arena and dropping the server's per-name
+	// state (including retained procs). A name used again simply starts
+	// fresh.
 	MaxIdle time.Duration
-	// EvictInterval is how often the sweeper runs an eviction pass
-	// (default MaxIdle when MaxIdle is set; irrelevant otherwise).
-	EvictInterval time.Duration
 	// Logf, when non-nil, receives one line per lifecycle event
 	// (connections, drain, expiries). Per-request logging would dominate
 	// the request cost and is deliberately absent.
 	Logf func(format string, args ...interface{})
-	// Clock abstracts time and goroutine spawning (nil means the wall
-	// clock, dst.Real). Injecting a *dst.SimClock virtualizes the lease
-	// sweeper, the coarse clock, eviction, dead-peer probes and drain
-	// timeouts, making the whole server schedulable by the
-	// deterministic-simulation layer.
+	// Clock abstracts time, goroutine spawning and waiting (nil means
+	// the wall clock, dst.Real). Injecting a *dst.SimClock virtualizes
+	// the lease sweeper, the coarse clock, eviction, dead-peer probes,
+	// blocked-ACQUIRE waits and the drain, making the whole server
+	// schedulable by the deterministic-simulation layer. The server runs
+	// the same code on either clock.
 	Clock dst.Clock
 	// Listener, when non-nil, is served instead of binding Addr — the
 	// injection point for the dst in-memory fabric.
@@ -163,24 +160,21 @@ type Config struct {
 // Server is a tasd instance. Construct with New, bind with Listen, run
 // with Serve, stop with Shutdown.
 type Server struct {
-	cfg   Config
-	reg   *randtas.Registry
-	clock dst.Clock
-	// sim gates the few behaviors a virtualized server needs that the
-	// real one must not pay for: parking blocked waiters in virtual
-	// time and polling drains instead of selecting on channels (channel
-	// readiness is invisible to the virtual scheduler). The production
-	// hot path is identical either way.
-	sim         bool
+	cfg         Config
+	reg         *randtas.Registry
+	clock       dst.Clock
 	ln          net.Listener
 	ids         chan int
 	startedNano int64
 	draining    atomic.Bool
-	wg          sync.WaitGroup
-	sweepStop   chan struct{}
-	sweepDone   chan struct{}
-	sweepOnce   sync.Once
-	sweepExited atomic.Bool
+	// drained is closed once every connection handler has exited after
+	// draining began: by the last handler out, or by Shutdown itself
+	// when none was left.
+	drained   chan struct{}
+	drainOnce sync.Once
+	sweepStop chan struct{}
+	sweepDone chan struct{}
+	sweepOnce sync.Once
 
 	mu    sync.Mutex
 	conns map[net.Conn]*conn // value nil until the handler registers itself
@@ -272,25 +266,20 @@ func New(cfg Config) (*Server, error) {
 	if cfg.LeaseSweep <= 0 {
 		cfg.LeaseSweep = 5 * time.Millisecond
 	}
-	if cfg.MaxIdle > 0 && cfg.EvictInterval <= 0 {
-		cfg.EvictInterval = cfg.MaxIdle
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = dst.Real
 	}
-	_, sim := cfg.Clock.(*dst.SimClock)
 	reg, err := randtas.NewRegistry(randtas.RegistryOptions{
 		ArenaOptions: randtas.ArenaOptions{
 			Options:  randtas.Options{N: cfg.MaxClients, Algorithm: cfg.Algorithm, Seed: cfg.Seed},
 			Shards:   cfg.ArenaShards,
 			Prealloc: cfg.Prealloc,
 		},
-		RegistryShards: cfg.RegistryShards,
-		MaxIdle:        cfg.MaxIdle,
-		Now:            cfg.Clock.Now,
+		MaxIdle: cfg.MaxIdle,
+		Now:     cfg.Clock.Now,
 	})
 	if err != nil {
 		return nil, err
@@ -299,8 +288,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		reg:       reg,
 		clock:     cfg.Clock,
-		sim:       sim,
 		ids:       make(chan int, cfg.MaxClients),
+		drained:   make(chan struct{}),
 		conns:     make(map[net.Conn]*conn),
 		sweepStop: make(chan struct{}),
 		sweepDone: make(chan struct{}),
@@ -366,10 +355,11 @@ func (s *Server) Serve() error {
 		}
 		select {
 		case id := <-s.ids:
-			// Registration, the draining re-check, and wg.Add happen
-			// under one lock so a connection either lands before
+			// Registration, the draining re-check, and the active count
+			// happen under one lock so a connection either lands before
 			// Shutdown's sweep (and is drained by it) or is rejected —
-			// never an Add racing the drain's Wait.
+			// Shutdown never reads zero handlers while an admitted one
+			// is about to start.
 			s.mu.Lock()
 			if s.draining.Load() {
 				s.mu.Unlock()
@@ -378,9 +368,8 @@ func (s *Server) Serve() error {
 				continue
 			}
 			s.conns[nc] = nil
-			s.wg.Add(1)
-			s.mu.Unlock()
 			s.active.Add(1)
+			s.mu.Unlock()
 			s.clock.Go(func() { s.handle(nc, id) })
 		default:
 			// All process slots are taken: refuse rather than queue, so
@@ -401,13 +390,10 @@ func (s *Server) Serve() error {
 // grant (no ABA) — and losing the CAS to a concurrent RELEASE simply
 // means the holder made it in time.
 func (s *Server) sweepLeases() {
-	defer func() {
-		s.sweepExited.Store(true)
-		close(s.sweepDone)
-	}()
+	defer close(s.sweepDone)
 	var nextEvict int64
-	if s.cfg.EvictInterval > 0 {
-		nextEvict = s.clock.Now().UnixNano() + int64(s.cfg.EvictInterval)
+	if s.cfg.MaxIdle > 0 {
+		nextEvict = s.clock.Now().UnixNano() + int64(s.cfg.MaxIdle)
 	}
 	for {
 		s.clock.Sleep(s.cfg.LeaseSweep)
@@ -459,7 +445,7 @@ func (s *Server) sweepLeases() {
 			s.expiries.Add(1)
 		}
 		if nextEvict != 0 && nowNano >= nextEvict {
-			nextEvict = nowNano + int64(s.cfg.EvictInterval)
+			nextEvict = nowNano + int64(s.cfg.MaxIdle)
 			if n := s.reg.Evict(); n > 0 {
 				s.purgeRetired(n)
 			}
@@ -502,53 +488,28 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.abortWaiters() // abort blocked ACQUIREs through the elector, mid-election included
 	s.cfg.Logf("tasd: draining %d connections", len(conns))
 
-	var err error
-	if s.sim {
-		// Channel readiness is invisible to the virtual scheduler, so
-		// poll the handler count in virtual time instead of selecting
-		// on a wg-completion channel.
-		for s.active.Load() > 0 {
-			if err == nil && ctx.Err() != nil {
-				err = ctx.Err()
-				for _, nc := range s.snapshotConns() {
-					nc.Close()
-				}
-			}
-			s.clock.Sleep(drainPoll)
+	// snapshotConns took s.mu after draining was set, so every admitted
+	// handler is already counted in active.
+	if s.active.Load() == 0 {
+		s.closeDrained()
+	}
+	err := s.clock.Await(ctx, s.drained)
+	if err != nil {
+		for _, nc := range s.snapshotConns() {
+			nc.Close()
 		}
-		// A handler that decremented active but hasn't reached wg.Done
-		// is runnable, not parked, so the poll above cannot observe
-		// zero before every handler finished: this Wait never blocks.
-		s.wg.Wait()
-	} else {
-		done := make(chan struct{})
-		s.clock.Go(func() {
-			s.wg.Wait()
-			close(done)
-		})
-		select {
-		case <-done:
-		case <-ctx.Done():
-			err = ctx.Err()
-			for _, nc := range s.snapshotConns() {
-				nc.Close()
-			}
-			<-done // cleanup (lock recovery) still runs per connection
-		}
+		s.clock.Await(context.Background(), s.drained) // cleanup (lock recovery) still runs per connection
 	}
 	if s.ln != nil {
 		s.sweepOnce.Do(func() { close(s.sweepStop) }) // Shutdown is idempotent
-		if s.sim {
-			for !s.sweepExited.Load() {
-				s.clock.Sleep(drainPoll)
-			}
-		}
-		<-s.sweepDone
+		s.clock.Await(context.Background(), s.sweepDone)
 	}
 	s.reg.Close()
 	s.cfg.Logf("tasd: drained")
 	return err
 }
+
+func (s *Server) closeDrained() { s.drainOnce.Do(func() { close(s.drained) }) }
 
 // snapshotConns copies the live connection set in remote-address order —
 // map iteration order would leak Go's map seed into the simulated
@@ -885,17 +846,6 @@ const maxBatchedResponses = 256 << 10
 // ACQUIRE's wait loop.
 const deadProbeInterval = 50 * time.Millisecond
 
-// drainPoll is the virtual-time interval at which a simulated Shutdown
-// polls handler and sweeper exits (channel closes from unmanaged
-// goroutines are invisible to the virtual scheduler).
-const drainPoll = 500 * time.Microsecond
-
-// simAcquirePoll is how long a simulated blocked ACQUIRE parks between
-// stop-predicate checks. Without the park the wait loop would spin with
-// virtual time frozen — a runnable actor pins the scheduler — and the
-// holder's release could never be delivered.
-const simAcquirePoll = 200 * time.Microsecond
-
 // dead reports whether the peer has hung up, detected by a 1 ms Peek
 // through the connection's own reader (this goroutine is the only
 // reader, and Peek consumes nothing, so pipelined frames are
@@ -955,9 +905,11 @@ func (s *Server) handle(nc net.Conn, id int) {
 		s.mu.Lock()
 		delete(s.conns, nc)
 		s.mu.Unlock()
-		s.active.Add(-1)
+		left := s.active.Add(-1)
 		s.ids <- id // hand the slot to the next connection (happens-before edge)
-		s.wg.Done()
+		if left == 0 && s.draining.Load() {
+			s.closeDrained() // the last handler out completes the drain
+		}
 	}()
 
 	for {
@@ -1114,10 +1066,7 @@ func (s *Server) process(c *conn, req wire.Request) bool {
 					peerDead = true
 					cl.proc.Abort()
 				}
-				if s.sim {
-					// Park the waiter in virtual time; see simAcquirePoll.
-					s.clock.Sleep(simAcquirePoll) //taslint:allow hotclock -- sim-only branch: parks the waiter in virtual time so the SimClock can advance; never taken on a real clock
-				}
+				s.clock.Idle() // a spinning actor would freeze virtual time
 				return false
 			})
 			c.blocked.Store(nil)

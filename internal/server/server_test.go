@@ -54,7 +54,7 @@ func start(t *testing.T, cfg server.Config) (*server.Server, string) {
 
 func dial(t *testing.T, addr string) *tasclient.Client {
 	t.Helper()
-	c, err := tasclient.Dial(addr)
+	c, err := tasclient.DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestDisconnectWhileBlockedRacingLease(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			c, err := tasclient.Dial(addr)
+			c, err := tasclient.DialContext(context.Background(), addr)
 			if err == nil {
 				return c
 			}
@@ -294,7 +294,7 @@ func TestDisconnectWhileBlockedRacingLease(t *testing.T) {
 		// Both slots must come back and the lock must be grantable.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			c, err := tasclient.Dial(addr)
+			c, err := tasclient.DialContext(context.Background(), addr)
 			if err == nil {
 				tok, got, tryErr := c.TryAcquire(bg, "L", 0)
 				if tryErr == nil && got {
@@ -372,7 +372,7 @@ func TestDisconnectWhileWaitingFreesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tasclient.Dial(addr)
+	b, err := tasclient.DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestDisconnectWhileWaitingFreesSlot(t *testing.T) {
 	// A still holds L; B's slot must come back regardless.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c, err := tasclient.Dial(addr)
+		c, err := tasclient.DialContext(context.Background(), addr)
 		if err == nil {
 			tok, got, tryErr := c.TryAcquire(bg, "other", 0)
 			if tryErr == nil && got {
@@ -529,7 +529,7 @@ func TestPartialFrame(t *testing.T) {
 	// can only be admitted once the torn connection is fully cleaned up.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c, err := tasclient.Dial(addr)
+		c, err := tasclient.DialContext(context.Background(), addr)
 		if err == nil {
 			tok, acqErr := c.Acquire(bg, "L", 0)
 			if acqErr == nil {
@@ -682,7 +682,7 @@ func TestElectEpochs(t *testing.T) {
 // client believing it leads an epoch.
 func TestElectSlotReuseNotLeader(t *testing.T) {
 	_, addr := start(t, server.Config{MaxClients: 1})
-	a, err := tasclient.Dial(addr)
+	a, err := tasclient.DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,7 +694,7 @@ func TestElectSlotReuseNotLeader(t *testing.T) {
 	// The replacement lands on the same (only) slot.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		b, err := tasclient.Dial(addr)
+		b, err := tasclient.DialContext(context.Background(), addr)
 		if err == nil {
 			won, epoch, err := b.Elect(bg, "leader/x")
 			if err != nil {
@@ -781,14 +781,14 @@ func TestServerFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tasclient.Dial(addr); err == nil {
+	if _, err := tasclient.DialContext(context.Background(), addr); err == nil {
 		t.Fatal("connection beyond MaxClients negotiated HELLO")
 	}
 	a.Release(bg, "L", tok)
 	a.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c, err := tasclient.Dial(addr)
+		c, err := tasclient.DialContext(context.Background(), addr)
 		if err == nil {
 			tok, err := c.Acquire(bg, "L", 0)
 			if err == nil {
@@ -820,7 +820,7 @@ func TestGracefulShutdown(t *testing.T) {
 	go func() { done <- s.Serve() }()
 	addr := s.Addr().String()
 
-	c, err := tasclient.Dial(addr)
+	c, err := tasclient.DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -836,7 +836,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	if _, err := tasclient.Dial(addr); err == nil {
+	if _, err := tasclient.DialContext(context.Background(), addr); err == nil {
 		t.Fatal("listener still accepting after Shutdown")
 	}
 }
@@ -879,12 +879,12 @@ func TestShutdownUnblocksWaiters(t *testing.T) {
 	go func() { serveDone <- s.Serve() }()
 	addr := s.Addr().String()
 
-	a, err := tasclient.Dial(addr)
+	a, err := tasclient.DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := tasclient.Dial(addr)
+	b, err := tasclient.DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -965,7 +965,7 @@ func TestStressLoopback(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			for time.Now().Before(deadline) {
-				c, err := tasclient.Dial(addr)
+				c, err := tasclient.DialContext(context.Background(), addr)
 				if err != nil {
 					t.Error(err)
 					return

@@ -518,15 +518,6 @@ func (r *Registry) Election(name string) *Election {
 	return &Election{opts: r.opts.Options, e: r.r.Election(name)}
 }
 
-// TAS returns the named one-shot test-and-set.
-//
-// Deprecated: named one-shot objects are the epoch-1 view of an
-// Election; use Registry.Election, whose Reset makes the name
-// re-electable without weakening the one-shot contract within an epoch.
-func (r *Registry) TAS(name string) *NamedTAS {
-	return &NamedTAS{opts: r.opts.Options, e: r.r.Election(name)}
-}
-
 // Len reports the number of named mutexes and elections currently
 // registered.
 func (r *Registry) Len() (mutexes, elections int) { return r.r.Len() }
@@ -633,51 +624,6 @@ func (p *ElectionProc) Participate() (leader bool, epoch uint64) {
 // epochs.
 func (p *ElectionProc) Steps() int { return p.h.Steps() }
 
-// NamedTAS is a registry-held one-shot test-and-set: the epoch-pinned
-// compatibility view of an Election.
-//
-// Deprecated: use Registry.Election.
-type NamedTAS struct {
-	opts Options
-	e    *arena.Election
-}
-
-// Registers returns the object's register footprint.
-func (t *NamedTAS) Registers() int { return t.e.Registers() }
-
-// Proc returns the context for process id (0 ≤ id < N). Each Proc
-// belongs to one goroutine and may call TAS at most once.
-func (t *NamedTAS) Proc(id int) *NamedTASProc {
-	if id < 0 || id >= t.opts.N {
-		panic(fmt.Sprintf("randtas: process id %d out of range [0,%d)", id, t.opts.N))
-	}
-	return &NamedTASProc{p: &ElectionProc{h: newHandle(id, t.opts), e: t.e, id: id}}
-}
-
-// NamedTASProc is one process's access point to a NamedTAS.
-//
-// Deprecated: use ElectionProc via Registry.Election.
-type NamedTASProc struct {
-	p    *ElectionProc
-	used bool
-}
-
-// TAS returns 0 for the unique winner of the election's current epoch
-// and 1 otherwise. It may be called once per proc.
-func (p *NamedTASProc) TAS() int {
-	if p.used {
-		panic("randtas: TAS called twice on one NamedTASProc (objects are one-shot)")
-	}
-	p.used = true
-	if leader, _ := p.p.Elect(); leader {
-		return 0
-	}
-	return 1
-}
-
-// Steps reports the shared-memory steps this process has taken.
-func (p *NamedTASProc) Steps() int { return p.p.Steps() }
-
 // Mutex is a long-lived fenced lock for up to N processes built by
 // chaining one-shot TAS rounds from an Arena: an acquisition wins the
 // current round's election and returns the round's sequence number as a
@@ -758,16 +704,6 @@ func (p *MutexProc) Abort() { p.p.Abort() }
 // cannot express (tasd uses it to abort waiters whose client hung up).
 // stop is polled only between rounds.
 func (p *MutexProc) LockWhile(stop func() bool) (Token, bool) { return p.p.LockWhile(stop) }
-
-// LockUntil acquires like Lock but gives up when stop reports true,
-// returning whether the mutex was acquired.
-//
-// Deprecated: use LockWhile, which also returns the fencing token (or
-// Token() afterwards). LockUntil remains for v1 callers.
-func (p *MutexProc) LockUntil(stop func() bool) bool {
-	_, ok := p.p.LockWhile(stop)
-	return ok
-}
 
 // TryLock makes a single attempt at the current round, returning the
 // fencing token and whether the mutex was acquired. It never blocks.

@@ -375,8 +375,7 @@ func TestMutexInvalidOptions(t *testing.T) {
 }
 
 // TestMutexFencing drives the public fencing surface end to end:
-// monotone tokens, Holder, Revoke, the fenced release, and the
-// deprecated LockUntil shim.
+// monotone tokens, Holder, Revoke and the fenced release.
 func TestMutexFencing(t *testing.T) {
 	m, err := NewMutex(ArenaOptions{Options: Options{N: 2, Seed: 3}})
 	if err != nil {
@@ -396,12 +395,13 @@ func TestMutexFencing(t *testing.T) {
 	if err := p0.Unlock(tok); !errors.Is(err, ErrFenced) {
 		t.Fatalf("Unlock after Revoke = %v, want ErrFenced", err)
 	}
-	// Deprecated shim still acquires; Token() recovers the fencing token.
-	//lint:ignore SA1019 the shim's own regression coverage
-	if !p1.LockUntil(func() bool { return false }) {
-		t.Fatal("LockUntil failed on a free lock")
+	tok1, ok := p1.LockWhile(func() bool { return false })
+	if !ok {
+		t.Fatal("LockWhile failed on a free lock")
 	}
-	tok1 := p1.Token()
+	if p1.Token() != tok1 {
+		t.Fatalf("Token() = %d, want %d", p1.Token(), tok1)
+	}
 	if tok1 <= tok {
 		t.Fatalf("token %d not monotone across revocation (prev %d)", tok1, tok)
 	}

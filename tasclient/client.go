@@ -209,24 +209,6 @@ type Client struct {
 // and simulations that want full control call SetBackoffSeed.
 var clientSeq atomic.Uint64
 
-// Dial connects with no timeout; see DialContext.
-func Dial(addr string) (*Client, error) {
-	return DialContext(context.Background(), addr)
-}
-
-// DialTimeout is Dial with a connection timeout (0 = none).
-//
-// Deprecated: use DialContext with a deadline.
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return DialContext(ctx, addr)
-}
-
 // DialContext connects to a tasd server at addr ("host:port") and
 // negotiates the protocol version with a HELLO frame. A pre-v2 daemon
 // rejects HELLO and closes the connection, so the client transparently
@@ -257,45 +239,30 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 }
 
 func dialHello(ctx context.Context, addr string) (*Client, error) {
-	c, err := dialRaw(ctx, addr)
+	nc, err := dialTCP(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.do(ctx, []Op{{Code: wire.OpHello}})
-	if err == nil && res[0].OK {
-		if v, ok := wire.ParseHelloPayload(res[0].Payload); ok && v >= 1 {
-			c.version = v
-			return c, nil
-		}
-		c.nc.Close()
-		return nil, fmt.Errorf("tasclient: malformed HELLO response")
+	c, err := NewClientConn(ctx, nc)
+	// A pre-v2 server rejects HELLO one of two ways, then hangs up: its
+	// strict v1 frame check trips on the 4-byte version trailer
+	// ("protocol error: wire: request frame …"), or — were the trailer
+	// ever dropped — the opcode itself is foreign ("unknown opcode 6").
+	// Either way, fall back to protocol v1 on a fresh connection.
+	// Anything else ("server full: …") is a real refusal to surface.
+	var ref *helloRefusal
+	if !errors.As(err, &ref) || !(strings.HasPrefix(ref.msg, "unknown opcode") || strings.HasPrefix(ref.msg, "protocol error")) {
+		return c, err
 	}
-	c.nc.Close()
-	if err == nil && res[0].Err != "" {
-		// A pre-v2 server rejects HELLO one of two ways, then hangs up:
-		// its strict v1 frame check trips on the 4-byte version trailer
-		// ("protocol error: wire: request frame …"), or — were the
-		// trailer ever dropped — the opcode itself is foreign ("unknown
-		// opcode 6"). Either way, fall back to protocol v1 on a fresh
-		// connection. Anything else ("server full: …") is a real
-		// refusal to surface.
-		if strings.HasPrefix(res[0].Err, "unknown opcode") || strings.HasPrefix(res[0].Err, "protocol error") {
-			c2, err2 := dialRaw(ctx, addr)
-			if err2 != nil {
-				return nil, err2
-			}
-			c2.version = 1
-			return c2, nil
-		}
-		return nil, fmt.Errorf("tasclient: %s", res[0].Err)
+	if nc, err = dialTCP(ctx, addr); err != nil {
+		return nil, err
 	}
-	if err == nil {
-		err = fmt.Errorf("tasclient: unexpected HELLO status")
-	}
-	return nil, err
+	c = newClient(nc)
+	c.version = 1
+	return c, nil
 }
 
-func dialRaw(ctx context.Context, addr string) (*Client, error) {
+func dialTCP(ctx context.Context, addr string) (net.Conn, error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -304,7 +271,17 @@ func dialRaw(ctx context.Context, addr string) (*Client, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) // request frames are tiny; don't wait to coalesce
 	}
-	return &Client{nc: nc, br: bufio.NewReaderSize(nc, 64<<10), version: wire.Version, clock: dst.Real, jitter: rng.New(clientSeq.Add(1))}, nil
+	return nc, nil
+}
+
+// helloRefusal is a HELLO the server answered with an error frame.
+type helloRefusal struct{ msg string }
+
+func (e *helloRefusal) Error() string { return "tasclient: " + e.msg }
+
+// newClient wraps nc in a Client that has not negotiated yet.
+func newClient(nc net.Conn) *Client {
+	return &Client{nc: nc, br: bufio.NewReaderSize(nc, 64<<10), version: wire.Version, clock: dst.Real, jitter: rng.New(clientSeq.Add(1))}
 }
 
 // NewClientConn speaks the tasd protocol over an existing connection —
@@ -313,26 +290,23 @@ func dialRaw(ctx context.Context, addr string) (*Client, error) {
 // the transport cannot be redialed here, so a server that rejects HELLO
 // surfaces as an error.
 func NewClientConn(ctx context.Context, nc net.Conn) (*Client, error) {
-	c := &Client{nc: nc, br: bufio.NewReaderSize(nc, 64<<10), version: wire.Version, clock: dst.Real, jitter: rng.New(clientSeq.Add(1))}
+	c := newClient(nc)
 	res, err := c.do(ctx, []Op{{Code: wire.OpHello}})
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	if !res[0].OK {
-		nc.Close()
-		if res[0].Err != "" {
-			return nil, fmt.Errorf("tasclient: %s", res[0].Err)
+	switch {
+	case err != nil:
+	case res[0].Err != "":
+		err = &helloRefusal{msg: res[0].Err}
+	case !res[0].OK:
+		err = errors.New("tasclient: unexpected HELLO status")
+	default:
+		if v, ok := wire.ParseHelloPayload(res[0].Payload); ok && v >= 1 {
+			c.version = v
+			return c, nil
 		}
-		return nil, fmt.Errorf("tasclient: unexpected HELLO status")
+		err = errors.New("tasclient: malformed HELLO response")
 	}
-	v, ok := wire.ParseHelloPayload(res[0].Payload)
-	if !ok || v < 1 {
-		nc.Close()
-		return nil, fmt.Errorf("tasclient: malformed HELLO response")
-	}
-	c.version = v
-	return c, nil
+	nc.Close()
+	return nil, err
 }
 
 // SetClock swaps the clock KeepAlive paces its heartbeats with (nil

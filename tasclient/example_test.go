@@ -9,11 +9,11 @@ import (
 	"repro/tasclient"
 )
 
-// ExampleDial: connect to a tasd lock daemon, take a named lock under a
-// lease, run a leader election, and read the server's counters. The
-// server here runs in-process on an ephemeral port; against a real
-// daemon, Dial its -addr instead.
-func ExampleDial() {
+// ExampleDialContext: connect to a tasd lock daemon, take a named lock
+// under a lease, run a leader election, and read the server's counters.
+// The server here runs in-process on an ephemeral port; against a real
+// daemon, dial its -addr instead.
+func ExampleDialContext() {
 	srv, err := server.New(server.Config{Addr: "127.0.0.1:0", MaxClients: 4})
 	if err != nil {
 		panic(err)
@@ -24,7 +24,7 @@ func ExampleDial() {
 	go srv.Serve()
 
 	ctx := context.Background()
-	c, err := tasclient.Dial(srv.Addr().String())
+	c, err := tasclient.DialContext(ctx, srv.Addr().String())
 	if err != nil {
 		panic(err)
 	}
