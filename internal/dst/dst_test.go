@@ -2,6 +2,7 @@ package dst
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -459,5 +460,89 @@ func TestFabricBoundedPipeBackpressure(t *testing.T) {
 	}
 	if thirdDur != 5*time.Millisecond {
 		t.Fatalf("write deadline fired after %v, want exactly 5ms of virtual time", thirdDur)
+	}
+}
+
+// TestRealAwait: on the wall clock Await is a plain select — a closed
+// channel answers nil, a cancelled context its error.
+func TestRealAwait(t *testing.T) {
+	done := make(chan struct{})
+	close(done)
+	if err := Real.Await(context.Background(), done); err != nil {
+		t.Fatalf("Await on a closed channel = %v, want nil", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Real.Await(ctx, make(chan struct{})); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Await on a cancelled context = %v, want context.Canceled", err)
+	}
+}
+
+// TestSimClockAwaitPolls: a simulated Await notices another actor's
+// close at its next poll, so it returns on a whole number of
+// awaitPoll intervals — the first poll at or after the close.
+func TestSimClockAwaitPolls(t *testing.T) {
+	clk := NewSimClock()
+	done := make(chan struct{})
+	var err error
+	var returned time.Duration
+	clk.Go(func() {
+		err = clk.Await(context.Background(), done)
+		returned = clk.VirtualNow()
+	})
+	clk.Go(func() {
+		clk.Sleep(1200 * time.Microsecond)
+		close(done)
+	})
+	if werr := clk.Wait(); werr != nil {
+		t.Fatalf("Wait: %v", werr)
+	}
+	if err != nil {
+		t.Fatalf("Await = %v, want nil", err)
+	}
+	if want := 3 * awaitPoll; returned != want {
+		t.Fatalf("Await returned at +%v, want +%v (the first poll after the +1.2ms close)", returned, want)
+	}
+}
+
+// TestSimClockAwaitChecksDoneThenCtx: with ctx already cancelled,
+// Await returns at once — a closed channel still wins, an open one
+// yields context.Canceled — and never sleeps: the only event of the
+// run is the actor's spawn.
+func TestSimClockAwaitChecksDoneThenCtx(t *testing.T) {
+	clk := NewSimClock()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	closed := make(chan struct{})
+	close(closed)
+	var onClosed, onOpen error
+	clk.Go(func() {
+		onClosed = clk.Await(ctx, closed)
+		onOpen = clk.Await(ctx, make(chan struct{}))
+	})
+	if err := clk.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if onClosed != nil {
+		t.Errorf("Await(cancelled, closed) = %v, want nil: done is checked before ctx", onClosed)
+	}
+	if !errors.Is(onOpen, context.Canceled) {
+		t.Errorf("Await(cancelled, open) = %v, want context.Canceled", onOpen)
+	}
+	if _, events := clk.TraceHash(); events != 1 || clk.VirtualNow() != 0 {
+		t.Errorf("Await slept: %d events, virtual time +%v; want the spawn only at +0s", events, clk.VirtualNow())
+	}
+}
+
+// TestSimClockIdle: one Idle parks the actor for exactly one idlePoll
+// of virtual time.
+func TestSimClockIdle(t *testing.T) {
+	clk := NewSimClock()
+	clk.Go(clk.Idle)
+	if err := clk.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if got := clk.VirtualNow(); got != idlePoll {
+		t.Fatalf("VirtualNow after Idle = %v, want %v", got, idlePoll)
 	}
 }

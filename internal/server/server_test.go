@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dst"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/tasclient"
@@ -912,6 +913,126 @@ func TestShutdownUnblocksWaiters(t *testing.T) {
 	<-serveDone
 	<-blocked
 	<-blocked
+}
+
+// TestShutdownForceClose: a handler pinned in flush by a peer that
+// never reads outlasts Shutdown's deadline. Shutdown then force-closes
+// the connection, still waits for the handler's cleanup to recover
+// the lock it was granted, and returns the deadline error; Serve
+// returns nil.
+func TestShutdownForceClose(t *testing.T) {
+	ln := newPipeListener()
+	s, err := server.New(server.Config{MaxClients: 2, Seed: 1, Listener: ln})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve() }()
+
+	// The pipe is unbuffered, so the grant's flush blocks for as long
+	// as nobody reads it.
+	nc := ln.dial(t)
+	defer nc.Close()
+	buf, err := wire.AppendRequest(nil, wire.Request{Op: wire.OpAcquire, ID: 1, Name: "L"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc.Write(buf); err != nil {
+		t.Fatalf("request write: %v", err)
+	}
+
+	ctx, cancel := context.WithTimeout(bg, 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown with a pinned handler = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("forced drain took %v under a 50ms deadline", elapsed)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	checkRecovered(t, s)
+}
+
+// TestShutdownForceCloseSim is TestShutdownForceClose on the simulated
+// clock and fabric. A one-byte inbound limit on a client that never
+// reads parks the handler's second flush, and an already-cancelled
+// context sends Shutdown down SimClock.Await's ctx branch: force-close,
+// then wait in virtual time for the cleanup. The run must end with no
+// actor stuck.
+func TestShutdownForceCloseSim(t *testing.T) {
+	clk := dst.NewSimClock()
+	fab := dst.NewFabric(clk, 1)
+	ln, err := fab.Listen("tasd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.New(server.Config{MaxClients: 2, Seed: 1, Clock: clk, Listener: ln})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	var serveErr, shutdownErr error
+	clk.Go(func() { serveErr = s.Serve() })
+	clk.Go(func() {
+		nc, err := fab.Dial("tasd")
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
+		nc.(*dst.SimConn).LimitInbound(1)
+		// The first grant fills the pipe; the second one's flush parks.
+		for i, name := range []string{"L", "M"} {
+			buf, err := wire.AppendRequest(nil, wire.Request{Op: wire.OpAcquire, ID: uint32(i + 1), Name: name})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := nc.Write(buf); err != nil {
+				t.Errorf("request write: %v", err)
+				return
+			}
+			clk.Sleep(time.Millisecond)
+		}
+	})
+	clk.Go(func() {
+		clk.Sleep(10 * time.Millisecond)
+		ctx, cancel := context.WithCancel(bg)
+		cancel()
+		shutdownErr = s.Shutdown(ctx)
+	})
+	if err := clk.Wait(); err != nil {
+		t.Fatalf("simulation: %v", err)
+	}
+	if !errors.Is(shutdownErr, context.Canceled) {
+		t.Fatalf("Shutdown with a pinned handler = %v, want context.Canceled", shutdownErr)
+	}
+	if serveErr != nil {
+		t.Fatalf("Serve: %v", serveErr)
+	}
+	checkRecovered(t, s)
+}
+
+// checkRecovered asserts that a drained server left no lock owned and
+// counted no exclusion violation.
+func checkRecovered(t *testing.T, s *server.Server) {
+	t.Helper()
+	s.VisitLocks(func(name string, owner uint64, _ int64) {
+		if owner != 0 {
+			t.Errorf("lock %q still owned by token %d after the drain", name, owner)
+		}
+	})
+	if v := s.Violations(); v != 0 {
+		t.Errorf("server counted %d mutual-exclusion violations", v)
+	}
 }
 
 // TestStatsTruncation: a STATS snapshot that would overflow a response
