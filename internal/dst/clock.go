@@ -14,9 +14,10 @@
 //     zero added cost on the hot path. SimClock implements the same
 //     interface over a virtual event heap. The two waits a service
 //     cannot express as a Sleep — blocking on a channel (Await) and a
-//     busy-wait iteration (Idle) — are Clock methods too, so a service
-//     runs one code path whichever clock it is given and never asks
-//     which one that is.
+//     busy-wait iteration (Idle) — are Clock methods too. They are
+//     internal/server's only simulation-aware waits, so the server has
+//     one code path: it never asks which clock it was given, and the
+//     simulation runs the server that ships.
 //
 //   - Fabric: an in-memory transport that satisfies net.Listener and
 //     net.Conn, scheduling every byte delivery as a SimClock event so
