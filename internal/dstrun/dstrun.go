@@ -514,8 +514,8 @@ func (r *run) coordinator() {
 	}
 	if r.wantEvict {
 		// Eviction needs two passes over an unchanged counter
-		// signature, at least MaxIdle apart.
-		// The server runs an eviction pass every MaxIdle.
+		// signature, at least MaxIdle apart; the server runs a pass
+		// every MaxIdle.
 		r.clk.Sleep(3*r.cfg.MaxIdle + 2*r.cfg.LeaseSweep)
 		if r.strict && r.srv.Registry().Evictions() == 0 {
 			r.mon.errOnce("evict", "no eviction after %v of idleness (MaxIdle %v)",
