@@ -902,12 +902,15 @@ func (s *Server) handle(nc net.Conn, id int) {
 			}
 		}
 		nc.Close()
+		// The decrement and the draining check share s.mu with Serve's
+		// admission, so no connection can be admitted between this
+		// handler taking active to 0 and it deciding it was the last.
 		s.mu.Lock()
 		delete(s.conns, nc)
+		last := s.active.Add(-1) == 0 && s.draining.Load()
 		s.mu.Unlock()
-		left := s.active.Add(-1)
 		s.ids <- id // hand the slot to the next connection (happens-before edge)
-		if left == 0 && s.draining.Load() {
+		if last {
 			s.closeDrained() // the last handler out completes the drain
 		}
 	}()

@@ -1021,6 +1021,92 @@ func TestShutdownForceCloseSim(t *testing.T) {
 	checkRecovered(t, s)
 }
 
+// TestShutdownDuringConnChurn: Shutdown racing clients that keep
+// connecting, taking a lock and hanging up must return only after
+// every admitted handler has exited — a handler that takes the count
+// to zero just before Shutdown starts must not complete the drain for
+// a connection admitted after it. Once Shutdown returns no connection
+// is counted and no lock is owned. Shutdown starts right after a
+// hang-up, while that handler is exiting and the client redials, and
+// a short LeaseSweep keeps Shutdown's wait for the sweeper shorter
+// than a handler that outlived the drain takes to exit.
+func TestShutdownDuringConnChurn(t *testing.T) {
+	rounds := 40
+	if testing.Short() {
+		rounds = 8
+	}
+	for r := 0; r < rounds; r++ {
+		s, err := server.New(server.Config{Addr: "127.0.0.1:0", MaxClients: 4, Seed: int64(r + 1), LeaseSweep: 200 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Listen(); err != nil {
+			t.Fatal(err)
+		}
+		serveDone := make(chan error, 1)
+		go func() { serveDone <- s.Serve() }()
+		addr := s.Addr().String()
+
+		stop := make(chan struct{})
+		hungUp := make(chan struct{}, 1)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(name string) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					c, err := tasclient.DialContext(bg, addr)
+					if err != nil {
+						continue // full, draining or closed: try again until told to stop
+					}
+					c.Acquire(bg, name, 0) // hang up holding it: the cleanup must recover it
+					c.Close()
+					select {
+					case hungUp <- struct{}{}:
+					default:
+					}
+				}
+			}(fmt.Sprintf("L%d", w))
+		}
+
+		time.Sleep(time.Duration(r%5) * time.Millisecond)
+		select {
+		case <-hungUp: // stale: wait for a fresh hang-up
+		default:
+		}
+		<-hungUp
+		ctx, cancel := context.WithTimeout(bg, 5*time.Second)
+		err = s.Shutdown(ctx)
+		cancel()
+		active := server.ActiveConns(s)
+		owned := 0
+		s.VisitLocks(func(_ string, owner uint64, _ int64) {
+			if owner != 0 {
+				owned++
+			}
+		})
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("round %d: Shutdown: %v", r, err)
+		}
+		if err := <-serveDone; err != nil {
+			t.Fatalf("round %d: Serve: %v", r, err)
+		}
+		if active != 0 || owned != 0 {
+			t.Fatalf("round %d: Shutdown returned with %d connections counted and %d locks owned", r, active, owned)
+		}
+		if v := s.Violations(); v != 0 {
+			t.Fatalf("round %d: %d mutual-exclusion violations", r, v)
+		}
+	}
+}
+
 // checkRecovered asserts that a drained server left no lock owned and
 // counted no exclusion violation.
 func checkRecovered(t *testing.T, s *server.Server) {
