@@ -85,10 +85,14 @@ func runDST(cfg dstConfig) error {
 			fmt.Printf("FAIL seed %#x scenario %-5s  violations=%d errors=%q\n", seed, sc, rep.Violations, rep.Errors)
 			fmt.Printf("  replay: tasbench -mode=dst -dstseeds 1 -seed %d -dstscenario %s\n", int64(seed), sc)
 		} else if cfg.verbose {
-			fmt.Printf("ok   seed %#x scenario %-5s  events=%-7d hash=%#016x virtual=%-10v acq=%d rel=%d ext=%d elect=%d fuzz=%d exp=%d evict=%d abort=%d\n",
+			fmt.Printf("ok   seed %#x scenario %-5s  events=%-7d hash=%#016x virtual=%-10v acq=%d rel=%d ext=%d elect=%d fuzz=%d exp=%d evict=%d abort=%d"+
+				" rec=%d busy=%d fenced=%d redial=%d cancel=%d hangup=%d slots=%d cancelmax=%v shed=%d dlexp=%d slowevict=%d qhw=%d goodput=%d\n",
 				seed, sc, rep.Events, rep.TraceHash, rep.Virtual,
 				rep.Acquires, rep.Releases, rep.Extends, rep.Elections, rep.FuzzFrames,
-				rep.Expiries, rep.Evictions, rep.Aborts)
+				rep.Expiries, rep.Evictions, rep.Aborts,
+				rep.Recovered, rep.Busy, rep.Fenced, rep.Redials, rep.Cancels, rep.Hangups,
+				rep.SlotsOutstanding, rep.CancelLatencyMax, rep.Shed, rep.DeadlineExpired,
+				rep.SlowClientEvictions, rep.QueueDepthHighWater, rep.Goodput)
 		}
 	}
 	fmt.Printf("dst: %d/%d seeds passed (base %#x, %v, replay check on first seed)\n",
