@@ -23,17 +23,6 @@ type dstConfig struct {
 	verbose  bool   // one line per seed instead of a summary
 }
 
-// dstScenarios is the rotation order for -dstscenario=all.
-var dstScenarios = []dstrun.Scenario{
-	dstrun.ScenarioMixed,
-	dstrun.ScenarioLocks,
-	dstrun.ScenarioChaos,
-	dstrun.ScenarioElect,
-	dstrun.ScenarioFuzz,
-	dstrun.ScenarioAbortStorm,
-	dstrun.ScenarioOverload,
-}
-
 // dstFaults is the byte-level fault mix applied to every fourth seed,
 // so the corpus covers both the fault-free fabric (where the strict
 // expectations assert) and a lossy one (where only the unconditional
@@ -58,7 +47,7 @@ func runDST(cfg dstConfig) error {
 		seed := cfg.base + uint64(i)
 		sc := dstrun.Scenario(cfg.scenario)
 		if cfg.scenario == "" || cfg.scenario == "all" {
-			sc = dstScenarios[i%len(dstScenarios)]
+			sc = dstrun.Scenarios[i%len(dstrun.Scenarios)]
 		}
 		rc := dstrun.Config{Seed: seed, Scenario: sc, Ops: cfg.ops}
 		if i%4 == 3 {

@@ -237,7 +237,6 @@ func TestFabricCloseEOFAndReset(t *testing.T) {
 			if err != nil {
 				return
 			}
-			i := i
 			clk.Go(func() {
 				buf := make([]byte, 16)
 				for {
@@ -338,7 +337,6 @@ func runEchoTraffic(seed uint64) (uint64, uint64) {
 		}
 	})
 	for i := 0; i < 4; i++ {
-		i := i
 		clk.Go(func() {
 			nc, err := f.Dial("tasd")
 			if err != nil {

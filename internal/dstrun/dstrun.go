@@ -18,6 +18,9 @@
 //   - idle names are evicted, and an evicted name is usable afresh
 //   - after a drain no waiter is left stuck (the scheduler's deadlock
 //     detector stays quiet and the run ends)
+//
+// Each Scenario is one entry of a table naming the actors it spawns,
+// its server envelope and the checks it adds to the common ones.
 package dstrun
 
 import (
@@ -78,6 +81,81 @@ const (
 	// lock recovered, and goodput stays nonzero through it all.
 	ScenarioOverload Scenario = "overload"
 )
+
+// Scenarios lists every scenario in the order a corpus rotates through
+// them.
+var Scenarios = []Scenario{
+	ScenarioMixed,
+	ScenarioLocks,
+	ScenarioChaos,
+	ScenarioElect,
+	ScenarioFuzz,
+	ScenarioAbortStorm,
+	ScenarioOverload,
+}
+
+// scenario is one table entry: what a run of that Scenario spawns, the
+// server envelope it runs under, and the checks it adds to the common
+// ones.
+type scenario struct {
+	// actors spawns the scenario's actors, in order, through r.spawn.
+	actors func(r *run)
+	// envelope holds the server's admission limits; the rest of the
+	// server config is common to every scenario.
+	envelope server.Config
+	// step runs on every scheduler step after the common checks, and
+	// settle once the traffic has quiesced, before the drain.
+	step, settle func(r *run)
+	// evict expects idle names to be evicted (MaxIdle defaults on) and
+	// an evicted name to be usable afresh.
+	evict bool
+	// quiesce is storm-style: eviction defaults off, and the arena's
+	// slot population must return to baseline once the traffic stops.
+	quiesce bool
+}
+
+var scenarios = map[Scenario]scenario{
+	ScenarioMixed: {evict: true, actors: func(r *run) {
+		r.clients(func(i int) { r.lockClient(i, true) })
+		r.spawn(func() { r.electClient(0) })
+		r.spawn(func() { r.fuzzActor(0) })
+		r.spawn(r.chaosActor)
+	}},
+	ScenarioLocks: {evict: true, actors: func(r *run) {
+		r.clients(func(i int) { r.lockClient(i, true) })
+	}},
+	ScenarioChaos: {evict: true, actors: func(r *run) {
+		r.clients(func(i int) { r.lockClient(i, true) })
+		r.spawn(r.chaosActor)
+	}},
+	ScenarioElect: {actors: func(r *run) { r.clients(r.electClient) }},
+	ScenarioFuzz: {actors: func(r *run) {
+		r.spawn(func() { r.lockClient(0, false) })
+		r.spawn(func() { r.fuzzActor(0) })
+		r.spawn(func() { r.fuzzActor(1) })
+	}},
+	ScenarioAbortStorm: {quiesce: true, settle: (*run).settleStorm, actors: func(r *run) {
+		r.spawn(func() { r.stormHolder(0) })
+		r.clients(r.stormClient)
+		r.spawn(r.chaosActor)
+	}},
+	ScenarioOverload: {
+		quiesce: true,
+		envelope: server.Config{
+			MaxWaiters:   overloadMaxWaiters,
+			MaxInflight:  overloadMaxInflight,
+			WriteTimeout: overloadWriteTimeout,
+		},
+		step:   (*run).checkAdmission,
+		settle: (*run).settleOverload,
+		actors: func(r *run) {
+			r.spawn(func() { r.overloadHolder(0) })
+			r.clients(r.overloadFlood)
+			r.spawn(r.overloadSlowReader)
+			r.spawn(r.chaosActor)
+		},
+	},
+}
 
 // The overload scenario's deliberately tight server envelope: small
 // enough that the default traffic saturates it, big enough that grants
@@ -184,13 +262,12 @@ func withDefaults(cfg Config) Config {
 		cfg.LeaseSweep = 2 * time.Millisecond
 	}
 	if cfg.MaxIdle == 0 {
-		if cfg.Scenario == ScenarioAbortStorm || cfg.Scenario == ScenarioOverload {
+		cfg.MaxIdle = 15 * cfg.LeaseSweep
+		if scenarios[cfg.Scenario].quiesce {
 			// Eviction restarts a name's token sequence, which would
 			// blunt the storm's token-monotonicity-across-abort check;
 			// the storm keeps its names hot anyway.
 			cfg.MaxIdle = -1
-		} else {
-			cfg.MaxIdle = 15 * cfg.LeaseSweep
 		}
 	}
 	if cfg.Faults == (dst.Faults{}) {
@@ -206,11 +283,12 @@ func withDefaults(cfg Config) Config {
 // run is the shared state of one simulated scenario.
 type run struct {
 	cfg Config
+	sc  scenario
 	clk *dst.SimClock
 	fab *dst.Fabric
 	srv *server.Server
 
-	mon         monitor
+	mon         *monitor
 	clientsDone atomic.Int64
 	actorCount  int64
 	kaActive    atomic.Int64
@@ -224,32 +302,38 @@ type run struct {
 	strict bool
 }
 
-// monitor accumulates counters and invariant errors. All writers are
-// managed actors, so under the simulation every access is serialized by
-// the scheduler; the mutex makes the type safe for real-clock use too.
+// monitor accumulates the report's counters and invariant errors. All
+// writers are managed actors, so under the simulation every access is
+// serialized by the scheduler; the mutex makes the type safe for
+// real-clock use too.
 type monitor struct {
-	mu         sync.Mutex
-	acquires   int
-	releases   int
-	busy       int
-	fenced     int
-	extends    int
-	elections  int
-	fuzzed     int
-	redials    int
-	cancels    int
-	hangups    int
-	goodput    int
-	cancelMax  time.Duration
-	aborts     uint64
-	recovered  uint64
-	slotsLeft  int64
-	errs       []string
+	mu sync.Mutex
+	Report
 	seen       map[string]bool
-	maxTok     map[string]uint64
-	leaders    map[string]map[uint64]int
-	srvLeaders map[string]map[uint64]int
+	tokens     map[string]tokenMark
+	leaders    map[epochKey]int // client-observed winner per epoch
+	srvLeaders map[epochKey]int // server-recorded winner per epoch
 	conns      []*dst.SimConn
+}
+
+// tokenMark is the last fencing token seen on a lock name's owner word,
+// with the number of the name's incarnations evicted at the time.
+type tokenMark struct{ tok, evictions uint64 }
+
+// epochKey names one epoch of one election.
+type epochKey struct {
+	name  string
+	epoch uint64
+}
+
+func newMonitor(seed uint64, sc Scenario) *monitor {
+	return &monitor{
+		Report:     Report{Seed: seed, Scenario: sc},
+		seen:       map[string]bool{},
+		tokens:     map[string]tokenMark{},
+		leaders:    map[epochKey]int{},
+		srvLeaders: map[epochKey]int{},
+	}
 }
 
 const maxErrors = 20
@@ -259,27 +343,55 @@ const maxErrors = 20
 func (m *monitor) errOnce(key, format string, args ...interface{}) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.seen == nil {
-		m.seen = map[string]bool{}
-	}
-	if m.seen[key] || len(m.errs) >= maxErrors {
+	if m.seen[key] || len(m.Errors) >= maxErrors {
 		return
 	}
 	m.seen[key] = true
-	m.errs = append(m.errs, fmt.Sprintf(format, args...))
+	m.Errors = append(m.Errors, fmt.Sprintf(format, args...))
 }
 
-func (m *monitor) add(field *int, n int) {
+func (m *monitor) inc(field *int) {
 	m.mu.Lock()
-	*field += n
+	*field++
 	m.mu.Unlock()
 }
 
+// fence records owner as the token on name's owner word. A token lower
+// than the last one seen is a fencing violation unless name itself was
+// evicted in between (evicted maps each name to its eviction count): a
+// fresh incarnation restarts its token sequence, but another name's
+// eviction excuses nothing.
+func (m *monitor) fence(name string, owner uint64, evicted map[string]uint64) {
+	m.mu.Lock()
+	prev := m.tokens[name]
+	m.tokens[name] = tokenMark{owner, evicted[name]}
+	m.mu.Unlock()
+	if owner < prev.tok && evicted[name] == prev.evictions {
+		m.errOnce("tok-"+name, "fencing token went backwards on %q: %d after %d", name, owner, prev.tok)
+	}
+}
+
+// firstWinner records who as the winner of epoch k unless one is
+// already on record, and returns the recorded winner.
+func (m *monitor) firstWinner(byEpoch map[epochKey]int, k epochKey, who int) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev, ok := byEpoch[k]; ok {
+		return prev
+	}
+	byEpoch[k] = who
+	return who
+}
+
 // Run executes one scenario to completion and reports. The error is
-// non-nil only for setup failures; invariant violations land in
-// Report.Errors.
+// non-nil only for setup failures, including an unknown scenario;
+// invariant violations land in Report.Errors.
 func Run(cfg Config) (Report, error) {
 	cfg = withDefaults(cfg)
+	sc, ok := scenarios[cfg.Scenario]
+	if !ok {
+		return Report{}, fmt.Errorf("dstrun: unknown scenario %q (want one of %v)", cfg.Scenario, Scenarios)
+	}
 	clk := dst.NewSimClock()
 	clk.RecordTrace(cfg.Trace)
 	fab := dst.NewFabric(clk, cfg.Seed)
@@ -289,27 +401,17 @@ func Run(cfg Config) (Report, error) {
 		return Report{}, err
 	}
 
-	r := &run{cfg: cfg, clk: clk, fab: fab}
+	r := &run{cfg: cfg, sc: sc, clk: clk, fab: fab, mon: newMonitor(cfg.Seed, cfg.Scenario)}
 	r.strict = cfg.Faults.DropProb == 0 && cfg.Faults.DupProb == 0 &&
 		cfg.Faults.CorruptProb == 0 && cfg.Faults.ResetProb == 0
-	r.wantEvict = cfg.MaxIdle > 0 && cfg.Scenario != ScenarioElect && cfg.Scenario != ScenarioFuzz
-	maxIdle := cfg.MaxIdle
-	if maxIdle < 0 {
-		maxIdle = 0
-	}
-	scfg := server.Config{
-		MaxClients: 2*cfg.Clients + 8,
-		Seed:       int64(cfg.Seed + 0x5eed),
-		LeaseSweep: cfg.LeaseSweep,
-		MaxIdle:    maxIdle,
-		Clock:      clk,
-		Listener:   ln,
-	}
-	if cfg.Scenario == ScenarioOverload {
-		scfg.MaxWaiters = overloadMaxWaiters
-		scfg.MaxInflight = overloadMaxInflight
-		scfg.WriteTimeout = overloadWriteTimeout
-	}
+	r.wantEvict = cfg.MaxIdle > 0 && sc.evict
+	scfg := sc.envelope
+	scfg.MaxClients = 2*cfg.Clients + 8
+	scfg.Seed = int64(cfg.Seed + 0x5eed)
+	scfg.LeaseSweep = cfg.LeaseSweep
+	scfg.MaxIdle = max(cfg.MaxIdle, 0)
+	scfg.Clock = clk
+	scfg.Listener = ln
 	srv, err := server.New(scfg)
 	if err != nil {
 		return Report{}, err
@@ -320,104 +422,42 @@ func Run(cfg Config) (Report, error) {
 	}
 	clk.OnStep(r.check)
 	clk.Go(func() { _ = srv.Serve() })
-
-	spawn := func(f func()) {
-		r.actorCount++
-		clk.Go(func() {
-			defer r.clientsDone.Add(1)
-			f()
-		})
-	}
-	switch cfg.Scenario {
-	case ScenarioLocks:
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			spawn(func() { r.lockClient(i, true) })
-		}
-	case ScenarioElect:
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			spawn(func() { r.electClient(i) })
-		}
-	case ScenarioChaos:
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			spawn(func() { r.lockClient(i, true) })
-		}
-		spawn(r.chaosActor)
-	case ScenarioFuzz:
-		spawn(func() { r.lockClient(0, false) })
-		spawn(func() { r.fuzzActor(0) })
-		spawn(func() { r.fuzzActor(1) })
-	case ScenarioAbortStorm:
-		spawn(func() { r.stormHolder(0) })
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			spawn(func() { r.stormClient(i) })
-		}
-		spawn(r.chaosActor)
-	case ScenarioOverload:
-		spawn(func() { r.overloadHolder(0) })
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			spawn(func() { r.overloadFlood(i) })
-		}
-		spawn(r.overloadSlowReader)
-		spawn(r.chaosActor)
-	default: // ScenarioMixed
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			spawn(func() { r.lockClient(i, true) })
-		}
-		spawn(func() { r.electClient(0) })
-		spawn(func() { r.fuzzActor(0) })
-		spawn(r.chaosActor)
-	}
+	sc.actors(r)
 	clk.Go(r.coordinator)
 
 	if err := clk.Wait(); err != nil {
 		r.mon.errOnce("deadlock", "stuck waiters after drain: %v", err)
 	}
 
-	hash, events := clk.TraceHash()
+	r.mon.mu.Lock()
+	defer r.mon.mu.Unlock()
+	rep := r.mon.Report
+	rep.TraceHash, rep.Events = clk.TraceHash()
+	rep.Virtual = clk.VirtualNow()
+	rep.Expiries = srv.LeaseExpirations()
+	rep.Evictions = srv.Registry().Evictions()
+	rep.Violations = srv.Violations()
 	ov := srv.Overload()
-	m := &r.mon
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return Report{
-		Seed:       cfg.Seed,
-		Scenario:   cfg.Scenario,
-		Events:     events,
-		TraceHash:  hash,
-		Virtual:    clk.VirtualNow(),
-		Acquires:   m.acquires,
-		Releases:   m.releases,
-		Busy:       m.busy,
-		Fenced:     m.fenced,
-		Extends:    m.extends,
-		Elections:  m.elections,
-		FuzzFrames: m.fuzzed,
-		Redials:    m.redials,
-		Cancels:    m.cancels,
-		Hangups:    m.hangups,
-		Expiries:   srv.LeaseExpirations(),
-		Evictions:  srv.Registry().Evictions(),
-		Violations: srv.Violations(),
-		Aborts:     m.aborts,
-		Recovered:  m.recovered,
+	rep.Shed, rep.DeadlineExpired = ov.Shed, ov.DeadlineExpired
+	rep.SlowClientEvictions, rep.QueueDepthHighWater = ov.SlowClientEvictions, ov.QueueDepthHighWater
+	rep.Trace = clk.Trace()
+	return rep, nil
+}
 
-		SlotsOutstanding: m.slotsLeft,
-		CancelLatencyMax: m.cancelMax,
+// spawn starts one scenario actor; the coordinator waits for them all.
+func (r *run) spawn(f func()) {
+	r.actorCount++
+	r.clk.Go(func() {
+		defer r.clientsDone.Add(1)
+		f()
+	})
+}
 
-		Shed:                ov.Shed,
-		DeadlineExpired:     ov.DeadlineExpired,
-		SlowClientEvictions: ov.SlowClientEvictions,
-		QueueDepthHighWater: ov.QueueDepthHighWater,
-		Goodput:             m.goodput,
-
-		Errors: append([]string(nil), m.errs...),
-		Trace:  clk.Trace(),
-	}, nil
+// clients spawns f(i) for each of the Config.Clients client actors.
+func (r *run) clients(f func(i int)) {
+	for i := 0; i < r.cfg.Clients; i++ {
+		r.spawn(func() { f(i) })
+	}
 }
 
 // check runs on every scheduler step with no actor running: the
@@ -426,44 +466,23 @@ func (r *run) check(time.Duration) {
 	if v := r.srv.Violations(); v > 0 {
 		r.mon.errOnce("exclusion", "server exclusion check failed %d time(s)", v)
 	}
-	if r.cfg.Scenario == ScenarioOverload {
-		// The admission bounds are hard: the high-water marks record
-		// admitted occupancy, so a single step past either bound is a
-		// shed that was wrongly let through.
-		o := r.srv.Overload()
-		if o.QueueDepthHighWater > overloadMaxWaiters {
-			r.mon.errOnce("queue-bound", "per-lock wait queue reached %d (bound %d)",
-				o.QueueDepthHighWater, overloadMaxWaiters)
-		}
-		if o.InflightHighWater > overloadMaxInflight {
-			r.mon.errOnce("inflight-bound", "global in-flight reached %d (bound %d)",
-				o.InflightHighWater, overloadMaxInflight)
-		}
+	if r.sc.step != nil {
+		r.sc.step(r)
 	}
 	nowNano := r.clk.Now().UnixNano()
 	bound := int64(2 * r.cfg.LeaseSweep)
+	var evicted map[string]uint64 // per-name eviction counts, read once a lock is held
 	r.srv.VisitLocks(func(name string, owner uint64, lease int64) {
 		if owner == 0 {
 			return
 		}
-		if watermarked(name) {
-			r.mon.mu.Lock()
-			if r.mon.maxTok == nil {
-				r.mon.maxTok = map[string]uint64{}
-			}
-			prev := r.mon.maxTok[name]
-			r.mon.maxTok[name] = owner
-			r.mon.mu.Unlock()
-			if owner < prev {
-				// An eviction legitimately restarts a name's token
-				// sequence (fresh incarnation); with none on record
-				// a regression is a real fencing violation.
-				if r.srv.Registry().Evictions() == 0 {
-					r.mon.errOnce("tok-"+name, "fencing token went backwards on %q: %d after %d", name, owner, prev)
-				}
-				return
+		if evicted == nil {
+			evicted = map[string]uint64{}
+			for _, ns := range r.srv.Registry().Stats() {
+				evicted[ns.Name] = ns.Evictions
 			}
 		}
+		r.mon.fence(name, owner, evicted)
 		if lease != 0 && nowNano-lease > bound {
 			r.mon.errOnce("lease-"+name, "lease on %q overdue by %v (bound %v)",
 				name, time.Duration(nowNano-lease), time.Duration(bound))
@@ -477,21 +496,7 @@ func (r *run) check(time.Duration) {
 		if !es.Decided {
 			continue
 		}
-		r.mon.mu.Lock()
-		if r.mon.srvLeaders == nil {
-			r.mon.srvLeaders = map[string]map[uint64]int{}
-		}
-		byEpoch := r.mon.srvLeaders[es.Name]
-		if byEpoch == nil {
-			byEpoch = map[uint64]int{}
-			r.mon.srvLeaders[es.Name] = byEpoch
-		}
-		prev, seen := byEpoch[es.Epoch]
-		if !seen {
-			byEpoch[es.Epoch] = es.Winner
-		}
-		r.mon.mu.Unlock()
-		if seen && prev != es.Winner {
+		if prev := r.mon.firstWinner(r.mon.srvLeaders, epochKey{es.Name, es.Epoch}, es.Winner); prev != es.Winner {
 			r.mon.errOnce(fmt.Sprintf("srv-leader-%s-%d", es.Name, es.Epoch),
 				"server changed the winner of election %q epoch %d: proc %d then %d",
 				es.Name, es.Epoch, prev, es.Winner)
@@ -499,15 +504,24 @@ func (r *run) check(time.Duration) {
 	}
 }
 
-// watermarked reports whether a lock name participates in the
-// token-monotonicity check. Names subject to eviction are excluded: a
-// fresh incarnation legitimately restarts its token sequence.
-func watermarked(name string) bool {
-	return len(name) > 0 && (name[0] == 'l' || name[0] == 'n') // lock*, nolease*
+// checkAdmission is the overload scenario's per-step check. The
+// admission bounds are hard: the high-water marks record admitted
+// occupancy, so a single step past either bound is a shed that was
+// wrongly let through.
+func (r *run) checkAdmission() {
+	o := r.srv.Overload()
+	if o.QueueDepthHighWater > overloadMaxWaiters {
+		r.mon.errOnce("queue-bound", "per-lock wait queue reached %d (bound %d)",
+			o.QueueDepthHighWater, overloadMaxWaiters)
+	}
+	if o.InflightHighWater > overloadMaxInflight {
+		r.mon.errOnce("inflight-bound", "global in-flight reached %d (bound %d)",
+			o.InflightHighWater, overloadMaxInflight)
+	}
 }
 
-// coordinator waits for the traffic to finish, verifies eviction and
-// reuse-after-eviction, then drains the server.
+// coordinator waits for the traffic to finish, runs the scenario's
+// settle checks, then drains the server.
 func (r *run) coordinator() {
 	for r.clientsDone.Load() < r.actorCount || r.kaActive.Load() > 0 {
 		r.clk.Sleep(500 * time.Microsecond)
@@ -522,47 +536,23 @@ func (r *run) coordinator() {
 				3*r.cfg.MaxIdle, r.cfg.MaxIdle)
 		}
 		// An evicted name must come back fresh and usable.
-		if cl := r.connect(false); cl != nil {
-			ctx := context.Background()
-			tok, err := cl.Acquire(ctx, "eph0", 0)
+		if cl := r.dial(false, opBudget); cl != nil {
+			tok, err := cl.op().Acquire(context.Background(), "eph0", 0)
 			if err != nil {
 				if r.strict {
 					r.mon.errOnce("evict-reuse", "reacquiring evicted name: %v", err)
 				}
 			} else {
-				r.mon.add(&r.mon.acquires, 1)
-				if err := cl.Release(ctx, "eph0", tok); err != nil && r.strict {
-					r.mon.errOnce("evict-reuse-rel", "releasing reacquired name: %v", err)
-				} else if err == nil {
-					r.mon.add(&r.mon.releases, 1)
+				r.mon.inc(&r.mon.Acquires)
+				if fenced, ok := r.release(cl, "eph0", tok); (fenced || !ok) && r.strict {
+					r.mon.errOnce("evict-reuse-rel", "releasing reacquired name failed (fenced: %v)", fenced)
 				}
 			}
 			cl.Close()
 		}
 	}
-	if r.cfg.Scenario == ScenarioAbortStorm || r.cfg.Scenario == ScenarioOverload {
+	if r.sc.quiesce {
 		r.checkSlotQuiescence()
-	}
-	if r.cfg.Scenario == ScenarioOverload {
-		o := r.srv.Overload()
-		if o.InflightNow != 0 {
-			r.mon.errOnce("inflight-rest",
-				"%d ACQUIREs still hold admission slots after the flood quiesced", o.InflightNow)
-		}
-		if r.strict {
-			if o.Shed == 0 && o.DeadlineExpired == 0 {
-				r.mon.errOnce("no-shed", "overload run refused nothing — admission control never engaged")
-			}
-			if o.SlowClientEvictions == 0 {
-				r.mon.errOnce("no-slow-evict", "the non-draining client was never evicted")
-			}
-			r.mon.mu.Lock()
-			goodput := r.mon.goodput
-			r.mon.mu.Unlock()
-			if goodput == 0 {
-				r.mon.errOnce("no-goodput", "zero grants under overload — the server shed everything")
-			}
-		}
 	}
 	// Capture the arena's abort accounting before Shutdown retires the
 	// registry (a closed registry reports no per-name stats).
@@ -572,13 +562,47 @@ func (r *run) coordinator() {
 		recovered += ls.Recovered
 	}
 	r.mon.mu.Lock()
-	r.mon.aborts, r.mon.recovered = aborts, recovered
+	r.mon.Aborts, r.mon.Recovered = aborts, recovered
 	r.mon.mu.Unlock()
-	if r.cfg.Scenario == ScenarioAbortStorm && r.strict && aborts == 0 {
-		r.mon.errOnce("no-aborts", "abort storm produced zero elector aborts — the scenario exercised nothing")
+	if r.sc.settle != nil {
+		r.sc.settle(r)
 	}
 	if err := r.srv.Shutdown(context.Background()); err != nil {
 		r.mon.errOnce("drain", "shutdown: %v", err)
+	}
+}
+
+// settleStorm asserts the abort storm exercised the elector's abort
+// path at all.
+func (r *run) settleStorm() {
+	if r.strict && r.mon.Aborts == 0 {
+		r.mon.errOnce("no-aborts", "abort storm produced zero elector aborts — the scenario exercised nothing")
+	}
+}
+
+// settleOverload asserts the flood left no admission slot behind and,
+// on a strict run, that admission control engaged, the slow reader was
+// evicted and grants still flowed.
+func (r *run) settleOverload() {
+	o := r.srv.Overload()
+	if o.InflightNow != 0 {
+		r.mon.errOnce("inflight-rest",
+			"%d ACQUIREs still hold admission slots after the flood quiesced", o.InflightNow)
+	}
+	if !r.strict {
+		return
+	}
+	if o.Shed == 0 && o.DeadlineExpired == 0 {
+		r.mon.errOnce("no-shed", "overload run refused nothing — admission control never engaged")
+	}
+	if o.SlowClientEvictions == 0 {
+		r.mon.errOnce("no-slow-evict", "the non-draining client was never evicted")
+	}
+	r.mon.mu.Lock()
+	goodput := r.mon.Goodput
+	r.mon.mu.Unlock()
+	if goodput == 0 {
+		r.mon.errOnce("no-goodput", "zero grants under overload — the server shed everything")
 	}
 }
 
@@ -605,19 +629,15 @@ func (r *run) checkSlotQuiescence() {
 		outstanding := int64(st.Hits+st.Steals+st.Misses) - int64(st.Puts)
 		mutexes, elections := reg.Len()
 		base := int64(mutexes + elections)
-		if outstanding == base {
+		if outstanding == base || r.clk.Since(start) > slotReclaimBudget {
 			r.mon.mu.Lock()
-			r.mon.slotsLeft = outstanding
+			r.mon.SlotsOutstanding = outstanding
 			r.mon.mu.Unlock()
-			return
-		}
-		if r.clk.Since(start) > slotReclaimBudget {
-			r.mon.mu.Lock()
-			r.mon.slotsLeft = outstanding
-			r.mon.mu.Unlock()
-			r.mon.errOnce("slot-leak",
-				"arena stuck at %d live slots (baseline %d: %d mutexes + %d elections) %v after the storm quiesced",
-				outstanding, base, mutexes, elections, slotReclaimBudget)
+			if outstanding != base {
+				r.mon.errOnce("slot-leak",
+					"arena stuck at %d live slots (baseline %d: %d mutexes + %d elections) %v after the storm quiesced",
+					outstanding, base, mutexes, elections, slotReclaimBudget)
+			}
 			return
 		}
 		r.clk.Sleep(r.cfg.LeaseSweep)
@@ -631,79 +651,74 @@ func (r *run) checkSlotQuiescence() {
 // contended blocking ACQUIRE) comes near it.
 const opBudget = 250 * time.Millisecond
 
-// simClient pairs a protocol client with its raw fabric conn and arms
-// a fresh virtual read deadline before every operation. Each method
-// forwards to the underlying tasclient.Client.
+// simClient pairs a protocol client with its fabric conn.
 type simClient struct {
 	cl  *tasclient.Client
-	nc  net.Conn
+	nc  *dst.SimConn
 	clk *dst.SimClock
 }
 
-func (s *simClient) arm() { s.nc.SetReadDeadline(s.clk.Now().Add(opBudget)) }
+// op arms a fresh virtual read deadline for one operation and returns
+// the client to run it on.
+func (s *simClient) op() *tasclient.Client {
+	s.nc.SetReadDeadline(s.clk.Now().Add(opBudget))
+	return s.cl
+}
 
 func (s *simClient) Close() error { return s.cl.Close() }
 
-func (s *simClient) Acquire(ctx context.Context, name string, ttl time.Duration) (tasclient.Token, error) {
-	s.arm()
-	return s.cl.Acquire(ctx, name, ttl)
-}
-
-func (s *simClient) AcquireWithin(ctx context.Context, name string, ttl, wait time.Duration) (tasclient.Token, error) {
-	s.arm()
-	return s.cl.AcquireWithin(ctx, name, ttl, wait)
-}
-
-func (s *simClient) TryAcquire(ctx context.Context, name string, ttl time.Duration) (tasclient.Token, bool, error) {
-	s.arm()
-	return s.cl.TryAcquire(ctx, name, ttl)
-}
-
-func (s *simClient) Release(ctx context.Context, name string, tok tasclient.Token) error {
-	s.arm()
-	return s.cl.Release(ctx, name, tok)
-}
-
-func (s *simClient) Extend(ctx context.Context, name string, tok tasclient.Token, ttl time.Duration) error {
-	s.arm()
-	return s.cl.Extend(ctx, name, tok, ttl)
-}
-
-func (s *simClient) Elect(ctx context.Context, name string) (bool, uint64, error) {
-	s.arm()
-	return s.cl.Elect(ctx, name)
-}
-
-func (s *simClient) ResetElection(ctx context.Context, name string, epoch uint64) (uint64, error) {
-	s.arm()
-	return s.cl.ResetElection(ctx, name, epoch)
-}
-
-func (s *simClient) Do(ctx context.Context, ops []tasclient.Op) ([]tasclient.Result, error) {
-	s.arm()
-	return s.cl.Do(ctx, ops)
-}
-
-// connect dials the fabric and speaks HELLO; nil when the server is
-// unreachable (drained or full). register exposes the link to the
-// chaos actor.
-func (r *run) connect(register bool) *simClient {
-	nc, err := r.fab.Dial("tasd")
+// dial connects to tasd over the fabric and speaks HELLO under a read
+// deadline budget from now; nil when the server is unreachable (drained
+// or full). register exposes the link to the chaos actor.
+func (r *run) dial(register bool, budget time.Duration) *simClient {
+	c, err := r.fab.Dial("tasd")
 	if err != nil {
 		return nil
 	}
-	if sc, ok := nc.(*dst.SimConn); ok && register {
+	nc := c.(*dst.SimConn)
+	if register {
 		r.mon.mu.Lock()
-		r.mon.conns = append(r.mon.conns, sc)
+		r.mon.conns = append(r.mon.conns, nc)
 		r.mon.mu.Unlock()
 	}
-	nc.SetReadDeadline(r.clk.Now().Add(opBudget))
-	cl, err := tasclient.NewClientConn(context.Background(), nc)
+	nc.SetReadDeadline(r.clk.Now().Add(budget))
+	cl, err := tasclient.NewClientConn(context.Background(), nc) // closes nc on failure
 	if err != nil {
 		return nil
 	}
 	cl.SetClock(r.clk)
 	return &simClient{cl: cl, nc: nc, clk: r.clk}
+}
+
+// loop is the actor skeleton the traffic generators share: connect, run
+// op Config.Ops times, and redial whenever op reports a broken
+// connection by returning false. It gives up when a dial fails and
+// closes the last connection when done.
+func (r *run) loop(op func(cl *simClient, k int) bool) {
+	cl := r.dial(true, opBudget)
+	for k := 0; cl != nil && k < r.cfg.Ops; k++ {
+		if !op(cl, k) {
+			cl.Close()
+			r.mon.inc(&r.mon.Redials)
+			cl = r.dial(true, opBudget)
+		}
+	}
+	if cl != nil {
+		cl.Close()
+	}
+}
+
+// release releases tok on name and counts a clean release. fenced
+// reports that the grant was already fenced; ok is false when the
+// connection broke instead.
+func (r *run) release(cl *simClient, name string, tok tasclient.Token) (fenced, ok bool) {
+	err := cl.op().Release(context.Background(), name, tok)
+	if err == nil {
+		r.mon.inc(&r.mon.Releases)
+		return false, true
+	}
+	fenced = errors.Is(err, tasclient.ErrFenced)
+	return fenced, fenced
 }
 
 // lockClient is the main traffic generator: a weighted mix of lock
@@ -713,33 +728,15 @@ func (r *run) lockClient(i int, full bool) {
 	g := rng.New(r.cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(i+1)))
 	ctx := context.Background()
 	sweep := r.cfg.LeaseSweep
-	cl := r.connect(true)
-	if cl == nil {
-		return
-	}
-	defer func() {
-		if cl != nil {
-			cl.Close()
-		}
-	}()
-	redial := func() bool {
-		cl.Close()
-		r.mon.add(&r.mon.redials, 1)
-		cl = r.connect(true)
-		return cl != nil
-	}
-	// Touch the ephemeral names once so the eviction pass has idle
-	// candidates with history.
-	if full && r.wantEvict {
-		name := fmt.Sprintf("eph%d", i%3)
-		if tok, ok, err := cl.TryAcquire(ctx, name, 0); err == nil && ok {
-			cl.Release(ctx, name, tok)
-		}
-	}
 	kaDone := false
-	for op := 0; op < r.cfg.Ops; op++ {
-		if cl == nil {
-			return
+	r.loop(func(cl *simClient, k int) bool {
+		// Touch the ephemeral names once so the eviction pass has idle
+		// candidates with history.
+		if k == 0 && full && r.wantEvict {
+			name := fmt.Sprintf("eph%d", i%3)
+			if tok, ok, err := cl.op().TryAcquire(ctx, name, 0); err == nil && ok {
+				cl.op().Release(ctx, name, tok)
+			}
 		}
 		pick := g.Intn(100)
 		if !full {
@@ -748,267 +745,172 @@ func (r *run) lockClient(i int, full bool) {
 		switch {
 		case pick < 25: // leaseless blocking acquire — can never be fenced
 			name := fmt.Sprintf("nolease%d", g.Intn(2))
-			tok, err := cl.Acquire(ctx, name, 0)
+			tok, err := cl.op().Acquire(ctx, name, 0)
 			if err != nil {
-				if !redial() {
-					return
-				}
-				continue
+				return false
 			}
-			r.mon.add(&r.mon.acquires, 1)
+			r.mon.inc(&r.mon.Acquires)
 			r.clk.Sleep(time.Duration(g.Intn(int(2 * sweep))))
-			err = cl.Release(ctx, name, tok)
-			switch {
-			case err == nil:
-				r.mon.add(&r.mon.releases, 1)
-			case errors.Is(err, tasclient.ErrFenced):
-				if r.strict {
-					r.mon.errOnce("nolease-fence", "leaseless grant on %q was fenced: %v", name, err)
-				}
-			default:
-				if !redial() {
-					return
-				}
+			fenced, ok := r.release(cl, name, tok)
+			if fenced && r.strict {
+				r.mon.errOnce("nolease-fence", "leaseless grant on %q was fenced", name)
 			}
+			return ok
 
 		case pick < 40: // leased try-acquire, released well within TTL
 			name := fmt.Sprintf("lock%d", g.Intn(3))
 			ttl := 6 * sweep
-			tok, ok, err := cl.TryAcquire(ctx, name, ttl)
+			tok, ok, err := cl.op().TryAcquire(ctx, name, ttl)
 			if err != nil {
-				if !redial() {
-					return
-				}
-				continue
+				return false
 			}
 			if !ok {
-				r.mon.add(&r.mon.busy, 1)
-				continue
+				r.mon.inc(&r.mon.Busy)
+				return true
 			}
-			r.mon.add(&r.mon.acquires, 1)
+			r.mon.inc(&r.mon.Acquires)
 			r.clk.Sleep(time.Duration(g.Intn(int(2 * sweep))))
-			err = cl.Release(ctx, name, tok)
-			switch {
-			case err == nil:
-				r.mon.add(&r.mon.releases, 1)
-			case errors.Is(err, tasclient.ErrFenced):
-				if r.strict {
-					r.mon.errOnce("early-fence", "grant on %q fenced %v into a %v lease", name, 2*sweep, ttl)
-				}
-			default:
-				if !redial() {
-					return
-				}
+			fenced, ok := r.release(cl, name, tok)
+			if fenced && r.strict {
+				r.mon.errOnce("early-fence", "grant on %q fenced %v into a %v lease", name, 2*sweep, ttl)
 			}
+			return ok
 
 		case pick < 52: // lease-expiry-vs-release race: either outcome is legal
 			name := fmt.Sprintf("lock%d", g.Intn(3))
 			ttl := 3 * sweep
-			tok, err := cl.Acquire(ctx, name, ttl)
+			tok, err := cl.op().Acquire(ctx, name, ttl)
 			if err != nil {
-				if !redial() {
-					return
-				}
-				continue
+				return false
 			}
-			r.mon.add(&r.mon.acquires, 1)
+			r.mon.inc(&r.mon.Acquires)
 			r.clk.Sleep(ttl - sweep + time.Duration(g.Intn(int(3*sweep))))
-			err = cl.Release(ctx, name, tok)
-			switch {
-			case err == nil:
-				r.mon.add(&r.mon.releases, 1)
-			case errors.Is(err, tasclient.ErrFenced):
-				r.mon.add(&r.mon.fenced, 1)
-			default:
-				if !redial() {
-					return
-				}
+			fenced, ok := r.release(cl, name, tok)
+			if fenced {
+				r.mon.inc(&r.mon.Fenced)
 			}
+			return ok
 
 		case pick < 62: // renewal: extends must carry the lease past its TTL
 			name := fmt.Sprintf("lock%d", g.Intn(3))
 			ttl := 3 * sweep
-			tok, err := cl.Acquire(ctx, name, ttl)
+			tok, err := cl.op().Acquire(ctx, name, ttl)
 			if err != nil {
-				if !redial() {
-					return
-				}
-				continue
+				return false
 			}
-			r.mon.add(&r.mon.acquires, 1)
-			lost := false
-			for k := 0; k < 4 && !lost; k++ { // hold for 4×sweep > ttl
+			r.mon.inc(&r.mon.Acquires)
+			for k := 0; k < 4; k++ { // hold for 4×sweep > ttl
 				r.clk.Sleep(sweep)
-				if err := cl.Extend(ctx, name, tok, ttl); err != nil {
+				if err := cl.op().Extend(ctx, name, tok, ttl); err != nil {
 					if errors.Is(err, tasclient.ErrFenced) && r.strict {
 						r.mon.errOnce("renew-fence", "renewed lease on %q lost: %v", name, err)
 					}
-					lost = true
-					break
+					return false
 				}
-				r.mon.add(&r.mon.extends, 1)
+				r.mon.inc(&r.mon.Extends)
 			}
-			if lost {
-				if !redial() {
-					return
-				}
-				continue
+			fenced, ok := r.release(cl, name, tok)
+			if fenced && r.strict {
+				r.mon.errOnce("renew-fence", "renewed lease on %q fenced at release", name)
 			}
-			err = cl.Release(ctx, name, tok)
-			switch {
-			case err == nil:
-				r.mon.add(&r.mon.releases, 1)
-			case errors.Is(err, tasclient.ErrFenced):
-				if r.strict {
-					r.mon.errOnce("renew-fence", "renewed lease on %q fenced at release", name)
-				}
-			default:
-				if !redial() {
-					return
-				}
-			}
+			return ok
 
 		case pick < 70: // expiry liveness: an unrenewed lease MUST be enforced
 			name := fmt.Sprintf("lock%d", g.Intn(3))
 			ttl := 2 * sweep
-			tok, err := cl.Acquire(ctx, name, ttl)
+			tok, err := cl.op().Acquire(ctx, name, ttl)
 			if err != nil {
-				if !redial() {
-					return
-				}
-				continue
+				return false
 			}
-			r.mon.add(&r.mon.acquires, 1)
+			r.mon.inc(&r.mon.Acquires)
 			r.clk.Sleep(ttl + 3*sweep + sweep/2)
-			err = cl.Release(ctx, name, tok)
-			switch {
-			case err == nil:
-				if r.strict {
-					r.mon.errOnce("no-expiry", "lease on %q (%v) not enforced after %v", name, ttl, ttl+3*sweep)
-				}
-				r.mon.add(&r.mon.releases, 1)
-			case errors.Is(err, tasclient.ErrFenced):
-				r.mon.add(&r.mon.fenced, 1)
-			default:
-				if !redial() {
-					return
-				}
+			fenced, ok := r.release(cl, name, tok)
+			if fenced {
+				r.mon.inc(&r.mon.Fenced)
+			} else if ok && r.strict {
+				r.mon.errOnce("no-expiry", "lease on %q (%v) not enforced after %v", name, ttl, ttl+3*sweep)
 			}
+			return ok
 
 		case pick < 78: // elections with occasional resets
-			if !r.electOnce(cl, &g, i) {
-				if !redial() {
-					return
-				}
-			}
+			return r.electOnce(cl, &g, i)
 
 		case pick < 85: // abandon: disconnect with a lock held; recovery frees it
 			name := fmt.Sprintf("lock%d", g.Intn(3))
-			if _, _, err := cl.TryAcquire(ctx, name, 0); err == nil {
-				r.mon.add(&r.mon.acquires, 1)
+			if _, _, err := cl.op().TryAcquire(ctx, name, 0); err == nil {
+				r.mon.inc(&r.mon.Acquires)
 			}
-			if !redial() {
-				return
-			}
+			return false
 
 		case pick < 93 && !kaDone: // one KeepAlive episode per client
 			kaDone = true
 			name := fmt.Sprintf("ka%d", i)
 			ttl := 4 * sweep
-			tok, err := cl.Acquire(ctx, name, ttl)
+			tok, err := cl.op().Acquire(ctx, name, ttl)
 			if err != nil {
-				if !redial() {
-					return
-				}
-				continue
+				return false
 			}
-			r.mon.add(&r.mon.acquires, 1)
+			r.mon.inc(&r.mon.Acquires)
 			// The heartbeat link is deliberately NOT registered with the
 			// chaos actor: resetting it silently kills the renewals and
 			// would fail the expectation below for the wrong reason. One
 			// deadline covers the whole episode so a dropped renewal
 			// reply can't park the heartbeat forever.
-			var kc *tasclient.Client
-			if nc, derr := r.fab.Dial("tasd"); derr == nil {
-				nc.SetReadDeadline(r.clk.Now().Add(3*ttl + opBudget))
-				if kcc, herr := tasclient.NewClientConn(ctx, nc); herr == nil {
-					kcc.SetClock(r.clk)
-					kc = kcc
-				} else {
-					nc.Close()
-				}
-			}
+			kc := r.dial(false, 3*ttl+opBudget)
 			if kc != nil {
 				r.kaActive.Add(1)
 				r.clk.Go(func() {
 					defer r.kaActive.Add(-1)
 					// Returns once the release below fences the token
 					// (or the drain breaks the connection).
-					kc.KeepAlive(context.Background(), name, tok, ttl)
+					kc.cl.KeepAlive(ctx, name, tok, ttl)
 					kc.Close()
 				})
 			}
 			r.clk.Sleep(3 * ttl) // far past the unrenewed deadline
-			err = cl.Release(ctx, name, tok)
-			switch {
-			case err == nil:
-				r.mon.add(&r.mon.releases, 1)
-			case errors.Is(err, tasclient.ErrFenced):
-				if kc != nil && r.strict {
-					r.mon.errOnce("ka-fence", "KeepAlive failed to hold lease on %q", name)
-				}
-			default:
-				if !redial() {
-					return
-				}
+			fenced, ok := r.release(cl, name, tok)
+			if fenced && kc != nil && r.strict {
+				r.mon.errOnce("ka-fence", "KeepAlive failed to hold lease on %q", name)
 			}
+			return ok
 
 		default: // pipelined batch
-			res, err := cl.Do(ctx, []tasclient.Op{
+			res, err := cl.op().Do(ctx, []tasclient.Op{
 				{Code: tasclient.OpTryAcquire, Name: "nolease0"},
 				{Code: tasclient.OpRelease, Name: "nolease0"},
 				{Code: tasclient.OpStats},
 			})
 			if err != nil {
-				if !redial() {
-					return
-				}
-				continue
+				return false
 			}
 			if res[0].OK {
-				r.mon.add(&r.mon.acquires, 1)
+				r.mon.inc(&r.mon.Acquires)
 				if res[1].OK {
-					r.mon.add(&r.mon.releases, 1)
+					r.mon.inc(&r.mon.Releases)
 				}
 			} else if res[0].Busy {
-				r.mon.add(&r.mon.busy, 1)
+				r.mon.inc(&r.mon.Busy)
 			}
+			return true
 		}
-	}
+	})
 }
 
-// electClient only runs elections.
+// electClient only runs elections. It keeps its own loop because it
+// sleeps after a redial, not before the next operation.
 func (r *run) electClient(i int) {
 	g := rng.New(r.cfg.Seed ^ (0xbf58476d1ce4e5b9 * uint64(i+1)))
-	cl := r.connect(true)
-	if cl == nil {
-		return
-	}
-	defer func() {
-		if cl != nil {
-			cl.Close()
-		}
-	}()
-	for op := 0; op < r.cfg.Ops; op++ {
-		if cl == nil {
-			return
-		}
+	cl := r.dial(true, opBudget)
+	for op := 0; cl != nil && op < r.cfg.Ops; op++ {
 		if !r.electOnce(cl, &g, 100+i) {
 			cl.Close()
-			r.mon.add(&r.mon.redials, 1)
-			cl = r.connect(true)
+			r.mon.inc(&r.mon.Redials)
+			cl = r.dial(true, opBudget)
 		}
 		r.clk.Sleep(time.Duration(g.Intn(int(r.cfg.LeaseSweep))))
+	}
+	if cl != nil {
+		cl.Close()
 	}
 }
 
@@ -1018,37 +920,23 @@ func (r *run) electClient(i int) {
 func (r *run) electOnce(cl *simClient, g *rng.SplitMix64, who int) bool {
 	ctx := context.Background()
 	name := fmt.Sprintf("group%d", g.Intn(2))
-	leader, epoch, err := cl.Elect(ctx, name)
+	leader, epoch, err := cl.op().Elect(ctx, name)
 	if err != nil {
 		return false
 	}
-	r.mon.add(&r.mon.elections, 1)
+	r.mon.inc(&r.mon.Elections)
+	// Only on a corruption-free fabric: a flipped bit in a response
+	// payload can tell a loser it won, which no client-side check can
+	// tell apart from a real violation. The server-side winner check in
+	// check() stays unconditional.
 	if leader {
-		r.mon.mu.Lock()
-		if r.mon.leaders == nil {
-			r.mon.leaders = map[string]map[uint64]int{}
-		}
-		byEpoch := r.mon.leaders[name]
-		if byEpoch == nil {
-			byEpoch = map[uint64]int{}
-			r.mon.leaders[name] = byEpoch
-		}
-		prev, seen := byEpoch[epoch]
-		if !seen {
-			byEpoch[epoch] = who
-		}
-		r.mon.mu.Unlock()
-		// Only on a corruption-free fabric: a flipped bit in a response
-		// payload can tell a loser it won, which no client-side check can
-		// tell apart from a real violation. The server-side winner check
-		// in check() stays unconditional.
-		if seen && prev != who && r.strict {
+		if prev := r.mon.firstWinner(r.mon.leaders, epochKey{name, epoch}, who); prev != who && r.strict {
 			r.mon.errOnce(fmt.Sprintf("leader-%s-%d", name, epoch),
 				"two leaders for election %q epoch %d: clients %d and %d", name, epoch, prev, who)
 		}
 	}
 	if g.Coin(0.15) {
-		if _, err := cl.ResetElection(ctx, name, epoch); err != nil && !errors.Is(err, tasclient.ErrFenced) {
+		if _, err := cl.op().ResetElection(ctx, name, epoch); err != nil && !errors.Is(err, tasclient.ErrFenced) {
 			return false
 		}
 	}
@@ -1108,55 +996,25 @@ const stormLongHold = 60 * time.Millisecond
 // waiters mid-wait rather than at the next round handover.
 func (r *run) stormHolder(i int) {
 	g := rng.New(r.cfg.Seed ^ (0xd6e8feb86659fd93 * uint64(i+1)))
-	ctx := context.Background()
 	sweep := r.cfg.LeaseSweep
-	cl := r.connect(true)
-	if cl == nil {
-		return
-	}
-	defer func() {
-		if cl != nil {
-			cl.Close()
-		}
-	}()
-	redial := func() bool {
-		cl.Close()
-		r.mon.add(&r.mon.redials, 1)
-		cl = r.connect(true)
-		return cl != nil
-	}
-	for op := 0; op < r.cfg.Ops; op++ {
-		if cl == nil {
-			return
-		}
+	r.loop(func(cl *simClient, _ int) bool {
 		name := fmt.Sprintf("lock%d", g.Intn(2))
-		tok, err := cl.Acquire(ctx, name, 0)
+		tok, err := cl.op().Acquire(context.Background(), name, 0)
 		if err != nil {
-			if !redial() {
-				return
-			}
-			continue
+			return false
 		}
-		r.mon.add(&r.mon.acquires, 1)
+		r.mon.inc(&r.mon.Acquires)
 		hold := time.Duration(int(sweep) + g.Intn(int(2*sweep)))
 		if g.Coin(0.25) {
 			hold = stormLongHold + time.Duration(g.Intn(int(2*sweep)))
 		}
 		r.clk.Sleep(hold)
-		err = cl.Release(ctx, name, tok)
-		switch {
-		case err == nil:
-			r.mon.add(&r.mon.releases, 1)
-		case errors.Is(err, tasclient.ErrFenced):
-			if r.strict {
-				r.mon.errOnce("storm-fence", "leaseless storm grant on %q was fenced: %v", name, err)
-			}
-		default:
-			if !redial() {
-				return
-			}
+		fenced, ok := r.release(cl, name, tok)
+		if fenced && r.strict {
+			r.mon.errOnce("storm-fence", "leaseless storm grant on %q was fenced", name)
 		}
-	}
+		return ok
+	})
 }
 
 // stormClient runs one wave per op: block in ACQUIRE on a contended
@@ -1171,29 +1029,27 @@ func (r *run) stormClient(i int) {
 	ctx := context.Background()
 	sweep := r.cfg.LeaseSweep
 	for op := 0; op < r.cfg.Ops; op++ {
-		cl := r.connect(true)
+		cl := r.dial(true, opBudget)
 		if cl == nil {
 			return
 		}
 		name := fmt.Sprintf("lock%d", g.Intn(2))
 		fuse := time.Duration(int(sweep)/2 + g.Intn(int(3*sweep)))
 		mode := g.Intn(3)
+		// cancel (mode 0): the read deadline fires under the blocked
+		// call; hangup (1) and reset (2) cut the link under it instead,
+		// by an orderly close or an abrupt RST.
+		deadline := opBudget
+		if mode == 0 {
+			deadline = fuse
+		}
+		cl.nc.SetReadDeadline(r.clk.Now().Add(deadline))
 		var tm dst.Timer
 		switch mode {
-		case 0: // cancel: the read deadline fires under the blocked call
-			cl.nc.SetReadDeadline(r.clk.Now().Add(fuse))
-		case 1: // hangup: an orderly close under the blocked call
-			cl.arm()
-			nc := cl.nc
-			tm = r.clk.AfterFunc(fuse, func() { nc.Close() })
-		default: // reset: abrupt RST instead of a close
-			if sc, ok := cl.nc.(*dst.SimConn); ok {
-				cl.arm()
-				tm = r.clk.AfterFunc(fuse, sc.Reset)
-			} else {
-				cl.nc.SetReadDeadline(r.clk.Now().Add(fuse))
-				mode = 0
-			}
+		case 1:
+			tm = r.clk.AfterFunc(fuse, func() { cl.nc.Close() })
+		case 2:
+			tm = r.clk.AfterFunc(fuse, cl.nc.Reset)
 		}
 		start := r.clk.Now()
 		tok, err := cl.cl.Acquire(ctx, name, 0)
@@ -1203,29 +1059,25 @@ func (r *run) stormClient(i int) {
 		}
 		switch {
 		case err == nil:
-			r.mon.add(&r.mon.acquires, 1)
+			r.mon.inc(&r.mon.Acquires)
 			r.clk.Sleep(time.Duration(g.Intn(int(sweep))))
 			// Half the wins release cleanly; the rest abandon the grant
 			// so disconnect recovery runs against the same names the
 			// aborts churn.
 			if g.Coin(0.5) {
-				if rerr := cl.Release(ctx, name, tok); rerr == nil {
-					r.mon.add(&r.mon.releases, 1)
-				}
+				r.release(cl, name, tok)
 			}
 		case mode == 0:
-			r.mon.add(&r.mon.cancels, 1)
+			r.mon.inc(&r.mon.Cancels)
 			r.mon.mu.Lock()
-			if elapsed > r.mon.cancelMax {
-				r.mon.cancelMax = elapsed
-			}
+			r.mon.CancelLatencyMax = max(r.mon.CancelLatencyMax, elapsed)
 			r.mon.mu.Unlock()
 			if elapsed > fuse+cancelSlack {
 				r.mon.errOnce("cancel-latency",
 					"mid-ACQUIRE cancel returned after %v against a %v deadline", elapsed, fuse)
 			}
 		default:
-			r.mon.add(&r.mon.hangups, 1)
+			r.mon.inc(&r.mon.Hangups)
 		}
 		cl.Close()
 		r.clk.Sleep(time.Duration(g.Intn(int(sweep))))
@@ -1246,57 +1098,26 @@ const overloadDeadlineBound = 12
 // BUSY — it just backs off and tries again.
 func (r *run) overloadHolder(i int) {
 	g := rng.New(r.cfg.Seed ^ (0xd6e8feb86659fd93 * uint64(i+1)))
-	ctx := context.Background()
 	sweep := r.cfg.LeaseSweep
-	cl := r.connect(true)
-	if cl == nil {
-		return
-	}
-	defer func() {
-		if cl != nil {
-			cl.Close()
-		}
-	}()
-	redial := func() bool {
-		cl.Close()
-		r.mon.add(&r.mon.redials, 1)
-		cl = r.connect(true)
-		return cl != nil
-	}
-	for op := 0; op < r.cfg.Ops; op++ {
-		if cl == nil {
-			return
-		}
+	r.loop(func(cl *simClient, _ int) bool {
 		name := fmt.Sprintf("load%d", g.Intn(2))
-		tok, err := cl.Acquire(ctx, name, 0)
-		switch {
-		case err == nil:
-		case errors.Is(err, tasclient.ErrBusy):
-			r.mon.add(&r.mon.busy, 1)
+		tok, err := cl.op().Acquire(context.Background(), name, 0)
+		if errors.Is(err, tasclient.ErrBusy) {
+			r.mon.inc(&r.mon.Busy)
 			r.clk.Sleep(sweep)
-			continue
-		default:
-			if !redial() {
-				return
-			}
-			continue
+			return true
 		}
-		r.mon.add(&r.mon.acquires, 1)
+		if err != nil {
+			return false
+		}
+		r.mon.inc(&r.mon.Acquires)
 		r.clk.Sleep(time.Duration(int(sweep) + g.Intn(int(2*sweep))))
-		err = cl.Release(ctx, name, tok)
-		switch {
-		case err == nil:
-			r.mon.add(&r.mon.releases, 1)
-		case errors.Is(err, tasclient.ErrFenced):
-			if r.strict {
-				r.mon.errOnce("overload-fence", "leaseless holder grant on %q was fenced: %v", name, err)
-			}
-		default:
-			if !redial() {
-				return
-			}
+		fenced, ok := r.release(cl, name, tok)
+		if fenced && r.strict {
+			r.mon.errOnce("overload-fence", "leaseless holder grant on %q was fenced", name)
 		}
-	}
+		return ok
+	})
 }
 
 // overloadFlood is the open-loop load generator: every wave asks for a
@@ -1308,66 +1129,37 @@ func (r *run) overloadHolder(i int) {
 // envelope saturated.
 func (r *run) overloadFlood(i int) {
 	g := rng.New(r.cfg.Seed ^ (0xbf58476d1ce4e5b9 * uint64(i+3)))
-	ctx := context.Background()
 	sweep := r.cfg.LeaseSweep
-	cl := r.connect(true)
-	if cl == nil {
-		return
-	}
-	defer func() {
-		if cl != nil {
-			cl.Close()
-		}
-	}()
-	redial := func() bool {
-		cl.Close()
-		r.mon.add(&r.mon.redials, 1)
-		cl = r.connect(true)
-		return cl != nil
-	}
-	for op := 0; op < r.cfg.Ops; op++ {
-		if cl == nil {
-			return
-		}
+	r.loop(func(cl *simClient, _ int) bool {
 		name := fmt.Sprintf("load%d", g.Intn(2))
 		wait := time.Duration(int(sweep) + g.Intn(int(3*sweep)))
 		bound := wait + overloadDeadlineBound*sweep
 		start := r.clk.Now()
-		tok, err := cl.AcquireWithin(ctx, name, 0, wait)
+		tok, err := cl.op().AcquireWithin(context.Background(), name, 0, wait)
 		elapsed := r.clk.Since(start)
 		switch {
 		case err == nil:
-			r.mon.add(&r.mon.goodput, 1)
-			r.mon.add(&r.mon.acquires, 1)
+			r.mon.inc(&r.mon.Goodput)
+			r.mon.inc(&r.mon.Acquires)
 			if r.strict && elapsed > bound {
 				r.mon.errOnce("deadline-bound", "grant landed %v into a %v budget (bound %v)", elapsed, wait, bound)
 			}
 			r.clk.Sleep(time.Duration(g.Intn(int(sweep))))
-			rerr := cl.Release(ctx, name, tok)
-			switch {
-			case rerr == nil:
-				r.mon.add(&r.mon.releases, 1)
-			case errors.Is(rerr, tasclient.ErrFenced):
-				if r.strict {
-					r.mon.errOnce("overload-fence", "leaseless flood grant on %q was fenced: %v", name, rerr)
-				}
-			default:
-				if !redial() {
-					return
-				}
+			fenced, ok := r.release(cl, name, tok)
+			if fenced && r.strict {
+				r.mon.errOnce("overload-fence", "leaseless flood grant on %q was fenced", name)
 			}
+			return ok
 		case errors.Is(err, tasclient.ErrBusy):
-			r.mon.add(&r.mon.busy, 1)
+			r.mon.inc(&r.mon.Busy)
 			if r.strict && elapsed > bound {
 				r.mon.errOnce("deadline-bound", "BUSY answered %v into a %v budget (bound %v)", elapsed, wait, bound)
 			}
 			r.clk.Sleep(time.Duration(g.Intn(int(sweep))))
-		default:
-			if !redial() {
-				return
-			}
+			return true
 		}
-	}
+		return false
+	})
 }
 
 // overloadSlowReader models the client that stops draining: it takes a
@@ -1379,26 +1171,17 @@ func (r *run) overloadFlood(i int) {
 func (r *run) overloadSlowReader() {
 	ctx := context.Background()
 	sweep := r.cfg.LeaseSweep
-	nc, err := r.fab.Dial("tasd")
-	if err != nil {
+	cl := r.dial(false, opBudget)
+	if cl == nil {
 		return
 	}
-	sc, _ := nc.(*dst.SimConn)
-	nc.SetReadDeadline(r.clk.Now().Add(opBudget))
-	cl, err := tasclient.NewClientConn(ctx, nc)
-	if err != nil {
-		nc.Close()
-		return
-	}
-	cl.SetClock(r.clk)
-	if _, err := cl.Acquire(ctx, "lslow0", 0); err != nil {
+	// The dial's read deadline still covers this first ACQUIRE.
+	if _, err := cl.cl.Acquire(ctx, "lslow0", 0); err != nil {
 		cl.Close()
 		return
 	}
-	r.mon.add(&r.mon.acquires, 1)
-	if sc != nil {
-		sc.LimitInbound(overloadInboundLimit)
-	}
+	r.mon.inc(&r.mon.Acquires)
+	cl.nc.LimitInbound(overloadInboundLimit)
 	// Several spaced request bursts, never reading an answer: the first
 	// burst's responses fill the capped pipe, and the flush for a later
 	// burst parks against it until the server's write timeout evicts us.
@@ -1406,14 +1189,14 @@ func (r *run) overloadSlowReader() {
 	// unread backlog, it doesn't refuse it — so one burst alone would
 	// never stall a flush.)
 	req := wire.Request{Op: wire.OpStats, ID: 1 << 20}
-	nc.SetWriteDeadline(r.clk.Now().Add(opBudget))
+	cl.nc.SetWriteDeadline(r.clk.Now().Add(opBudget))
 	for burst := 0; burst < 4; burst++ {
 		var buf []byte
 		for k := 0; k < 16; k++ {
 			buf, _ = wire.AppendRequest(buf, req)
 			req.ID++
 		}
-		if _, err := nc.Write(buf); err != nil {
+		if _, err := cl.nc.Write(buf); err != nil {
 			break // already evicted — mission accomplished
 		}
 		r.clk.Sleep(2 * sweep)
@@ -1421,17 +1204,15 @@ func (r *run) overloadSlowReader() {
 	// Sit on the grant, deaf, well past the server's write-timeout fuse.
 	r.clk.Sleep(overloadWriteTimeout + 10*sweep)
 	cl.Close()
-	if fresh := r.connect(false); fresh != nil {
-		tok, err := fresh.Acquire(ctx, "lslow0", 0)
+	if fresh := r.dial(false, opBudget); fresh != nil {
+		tok, err := fresh.op().Acquire(ctx, "lslow0", 0)
 		if err != nil {
 			if r.strict {
 				r.mon.errOnce("slow-recover", "lock held by the evicted slow client was not recovered: %v", err)
 			}
 		} else {
-			r.mon.add(&r.mon.acquires, 1)
-			if fresh.Release(ctx, "lslow0", tok) == nil {
-				r.mon.add(&r.mon.releases, 1)
-			}
+			r.mon.inc(&r.mon.Acquires)
+			r.release(fresh, "lslow0", tok)
 		}
 		fresh.Close()
 	}

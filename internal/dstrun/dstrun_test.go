@@ -28,8 +28,7 @@ func assertPassed(t *testing.T, rep Report) {
 }
 
 func TestScenarioSmoke(t *testing.T) {
-	for _, sc := range []Scenario{ScenarioLocks, ScenarioElect, ScenarioChaos, ScenarioFuzz, ScenarioMixed, ScenarioAbortStorm, ScenarioOverload} {
-		sc := sc
+	for _, sc := range Scenarios {
 		t.Run(string(sc), func(t *testing.T) {
 			t.Parallel()
 			rep := runOnce(t, Config{Seed: 1, Scenario: sc})
@@ -69,12 +68,37 @@ func TestScenarioSmoke(t *testing.T) {
 	}
 }
 
+// TestUnknownScenario: a misspelled scenario name is a setup error, not
+// a silent run of the default scenario.
+func TestUnknownScenario(t *testing.T) {
+	rep, err := Run(Config{Seed: 1, Scenario: "lokcs"})
+	if err == nil {
+		t.Fatalf("Run accepted scenario %q and ran %d events", "lokcs", rep.Events)
+	}
+}
+
+// TestTokenWatermarkPerName: a fencing-token regression is excused only
+// by an eviction of that same name, whose fresh incarnation restarts the
+// sequence; another name's eviction excuses nothing.
+func TestTokenWatermarkPerName(t *testing.T) {
+	m := newMonitor(1, ScenarioLocks)
+	m.fence("lock0", 5, map[string]uint64{})
+	m.fence("lock0", 3, map[string]uint64{"eph0": 1})
+	if len(m.Errors) != 1 {
+		t.Fatalf("lock0 went 5 -> 3 while only eph0 was evicted: errors %q, want one", m.Errors)
+	}
+	m.fence("lock1", 5, map[string]uint64{"eph0": 1})
+	m.fence("lock1", 2, map[string]uint64{"eph0": 1, "lock1": 1})
+	if len(m.Errors) != 1 {
+		t.Fatalf("lock1 restarted after its own eviction: errors %q, want no new one", m.Errors)
+	}
+}
+
 // TestReplayDeterminism is the seed→schedule contract end to end: a
 // whole service run replays byte-identically from its seed, across
 // -cpu settings (run with -cpu=1,4).
 func TestReplayDeterminism(t *testing.T) {
 	for _, sc := range []Scenario{ScenarioLocks, ScenarioChaos, ScenarioMixed, ScenarioAbortStorm, ScenarioOverload} {
-		sc := sc
 		t.Run(string(sc), func(t *testing.T) {
 			t.Parallel()
 			a := runOnce(t, Config{Seed: 42, Scenario: sc})
@@ -103,7 +127,6 @@ func TestSeedCorpus(t *testing.T) {
 	}
 	seeds := []uint64{1, 2, 3, 5, 8, 13, 21, 0xdead, 0xbeef, 0xc0ffee, 1 << 32, 0xffffffffffffffff}
 	for _, seed := range seeds {
-		seed := seed
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
 			assertPassed(t, runOnce(t, Config{Seed: seed, Scenario: ScenarioMixed, Ops: 30}))
@@ -117,7 +140,6 @@ func TestSeedCorpus(t *testing.T) {
 // per epoch, clean drain — must still hold.
 func TestFaultyFabric(t *testing.T) {
 	for _, seed := range []uint64{7, 11, 99} {
-		seed := seed
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
 			rep := runOnce(t, Config{
@@ -145,7 +167,6 @@ func TestFaultyFabric(t *testing.T) {
 // and the storm actually exercising every departure flavor.
 func TestAbortStorm(t *testing.T) {
 	for _, seed := range []uint64{1, 4, 17, 0xab047} {
-		seed := seed
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
 			rep := runOnce(t, Config{Seed: seed, Scenario: ScenarioAbortStorm, Ops: 30})
@@ -169,7 +190,6 @@ func TestAbortStorm(t *testing.T) {
 // (exclusion, monotone tokens, slot accounting, clean drain) must hold.
 func TestAbortStormFaultyFabric(t *testing.T) {
 	for _, seed := range []uint64{7, 23} {
-		seed := seed
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
 			rep := runOnce(t, Config{
@@ -198,7 +218,6 @@ func TestAbortStormFaultyFabric(t *testing.T) {
 // returned to baseline — shed requests never keep a slot.
 func TestOverload(t *testing.T) {
 	for _, seed := range []uint64{1, 4, 17, 0x10ad} {
-		seed := seed
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
 			rep := runOnce(t, Config{Seed: seed, Scenario: ScenarioOverload})
@@ -233,7 +252,6 @@ func TestOverload(t *testing.T) {
 // clean drain — must hold.
 func TestOverloadFaultyFabric(t *testing.T) {
 	for _, seed := range []uint64{7, 23} {
-		seed := seed
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
 			rep := runOnce(t, Config{

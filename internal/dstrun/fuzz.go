@@ -27,7 +27,7 @@ func (r *run) fuzzActor(idx int) {
 		terminal := false
 		for j := 0; j < frames && !terminal; j++ {
 			buf, terminal = appendFuzzFrame(buf, &g)
-			r.mon.add(&r.mon.fuzzed, 1)
+			r.mon.inc(&r.mon.FuzzFrames)
 		}
 		if _, err := nc.Write(buf); err == nil {
 			drain(nc, r.clk, 2*time.Millisecond)
