@@ -39,6 +39,7 @@ import (
 	"repro/internal/lowerbound"
 	"repro/internal/markov"
 	"repro/internal/ratrace"
+	"repro/internal/rng"
 	"repro/internal/shm"
 	"repro/internal/sim"
 	"repro/internal/twoproc"
@@ -469,11 +470,11 @@ func runE8(c config) []harness.Table {
 		threshold := 4 * height
 		trials := c.t(c.trials) * 10
 		exceed := 0
-		rng := newSplitMix(uint64(c.seed) + uint64(n))
+		g := rng.New(uint64(c.seed) + uint64(n))
 		for t := 0; t < trials; t++ {
 			blocks := make([]int, n/height+1)
 			for ball := 0; ball < n; ball++ {
-				leaf := int(rng.next() % uint64(n))
+				leaf := int(g.Next() % uint64(n))
 				blocks[leaf/height]++
 			}
 			for _, b := range blocks {
@@ -486,18 +487,6 @@ func runE8(c config) []harness.Table {
 		tbl.AddRow(n, threshold, float64(exceed)/float64(trials), 1/float64(n*n))
 	}
 	return []harness.Table{tbl}
-}
-
-type splitMix struct{ s uint64 }
-
-func newSplitMix(seed uint64) *splitMix { return &splitMix{s: seed} }
-
-func (r *splitMix) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // --- E9: adversary separation ------------------------------------------------------
