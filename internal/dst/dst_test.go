@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -61,6 +62,49 @@ func TestSimClockAfterFunc(t *testing.T) {
 	}
 	if stopped.Load() {
 		t.Error("stopped AfterFunc fired anyway")
+	}
+}
+
+// TestSimClockOneStepperAtATime: the goroutine that ran a step and
+// woke an actor must stop stepping. If it kept going, it could take the
+// clock's lock while the woken actor, already parked again, sits in its
+// own OnStep callback with the lock released, and two steps would then
+// run at once. Every write below schedules a delivery that wakes nobody,
+// so a stepper often finds no runnable actor; the slow callback widens
+// the window in which a second stepper could slip in.
+func TestSimClockOneStepperAtATime(t *testing.T) {
+	clk := NewSimClock()
+	var in, overlaps atomic.Int32
+	clk.OnStep(func(time.Duration) {
+		if in.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		for i := 0; i < 50; i++ {
+			runtime.Gosched()
+		}
+		in.Add(-1)
+	})
+	f := NewFabric(clk, 3)
+	if _, err := f.Listen("sink"); err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < 8; a++ {
+		clk.Go(func() {
+			nc, err := f.Dial("sink")
+			if err != nil {
+				return
+			}
+			for k := 0; k < 1000; k++ {
+				nc.Write([]byte{byte(k)}) // nobody reads: the delivery wakes no one
+				clk.Sleep(0)
+			}
+		})
+	}
+	if err := clk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := overlaps.Load(); n > 0 {
+		t.Fatalf("OnStep ran concurrently with itself %d time(s): two goroutines were stepping the clock", n)
 	}
 }
 

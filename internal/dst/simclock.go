@@ -414,6 +414,12 @@ func (c *SimClock) stepLocked() {
 				post()
 			}
 			c.mu.Lock()
+			if len(wakes) > 0 || post != nil {
+				// The step handed the run to an actor, which may have
+				// parked again and be stepping by now; a second stepper
+				// would break the one-actor-at-a-time order.
+				return
+			}
 		}
 	}
 }
