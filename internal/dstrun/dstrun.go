@@ -536,20 +536,7 @@ func (r *run) coordinator() {
 				3*r.cfg.MaxIdle, r.cfg.MaxIdle)
 		}
 		// An evicted name must come back fresh and usable.
-		if cl := r.dial(false, opBudget); cl != nil {
-			tok, err := cl.op().Acquire(context.Background(), "eph0", 0)
-			if err != nil {
-				if r.strict {
-					r.mon.errOnce("evict-reuse", "reacquiring evicted name: %v", err)
-				}
-			} else {
-				r.mon.inc(&r.mon.Acquires)
-				if fenced, ok := r.release(cl, "eph0", tok); (fenced || !ok) && r.strict {
-					r.mon.errOnce("evict-reuse-rel", "releasing reacquired name failed (fenced: %v)", fenced)
-				}
-			}
-			cl.Close()
-		}
+		r.reacquire("eph0", "evict-reuse", "reacquiring evicted name")
 	}
 	if r.sc.quiesce {
 		r.checkSlotQuiescence()
@@ -719,6 +706,27 @@ func (r *run) release(cl *simClient, name string, tok tasclient.Token) (fenced, 
 	}
 	fenced = errors.Is(err, tasclient.ErrFenced)
 	return fenced, fenced
+}
+
+// reacquire checks on a fresh connection, not exposed to the chaos
+// actor, that name can be acquired and released; on a strict run a
+// failure is an error under key.
+func (r *run) reacquire(name, key, what string) {
+	cl := r.dial(false, opBudget)
+	if cl == nil {
+		return
+	}
+	defer cl.Close()
+	tok, err := cl.op().Acquire(context.Background(), name, 0)
+	if err == nil {
+		r.mon.inc(&r.mon.Acquires)
+		if fenced, ok := r.release(cl, name, tok); fenced || !ok {
+			err = fmt.Errorf("release failed (fenced: %v)", fenced)
+		}
+	}
+	if err != nil && r.strict {
+		r.mon.errOnce(key, "%s: %v", what, err)
+	}
 }
 
 // lockClient is the main traffic generator: a weighted mix of lock
@@ -1204,18 +1212,7 @@ func (r *run) overloadSlowReader() {
 	// Sit on the grant, deaf, well past the server's write-timeout fuse.
 	r.clk.Sleep(overloadWriteTimeout + 10*sweep)
 	cl.Close()
-	if fresh := r.dial(false, opBudget); fresh != nil {
-		tok, err := fresh.op().Acquire(ctx, "lslow0", 0)
-		if err != nil {
-			if r.strict {
-				r.mon.errOnce("slow-recover", "lock held by the evicted slow client was not recovered: %v", err)
-			}
-		} else {
-			r.mon.inc(&r.mon.Acquires)
-			r.release(fresh, "lslow0", tok)
-		}
-		fresh.Close()
-	}
+	r.reacquire("lslow0", "slow-recover", "lock held by the evicted slow client was not recovered")
 }
 
 // drain reads and discards whatever the server answers until the read
