@@ -34,21 +34,16 @@
 //	       breaches its own queue bound, violates exclusion, or leaks
 //	       arena slots.
 //
-// Reported: total ops/sec, batch round-trip ("wait") p50/p99, lease
+// Printed: total ops/sec, batch round-trip ("wait") p50/p99, lease
 // expiries, fenced releases, and the server's own counters. Mutual
 // exclusion is verified server-side — every granted acquisition checks
 // a token-keyed per-lock owner word — and the run fails if the STATS
 // violations counter is nonzero, if any operation errs unexpectedly, or
 // (when we own the server, pairs scenario) if the per-lock round counts
-// don't account for every pair issued.
+// don't account for every pair issued. No report file is written: the
+// exit status is the verdict.
 //
-// The JSON report (default BENCH_PR8.json) extends the repository's
-// benchmark trajectory: PR 2 measured the in-process lock fast path,
-// PR 3 the simulator engine, PR 4 the first network-facing layer, PR 5
-// the fenced/leased redesign of that layer, PR 8 the overload surface
-// (flood scenario: offered vs goodput, shed rate, admission bounds).
-//
-// A fourth mode, -mode=hold, is a tiny client for smoke tests: acquire
+// A second mode, -mode=hold, is a tiny client for smoke tests: acquire
 // one lock with a lease, hold it for -holdfor, then release and report
 // whether the release was fenced (exit 3) — the CI drill that freezes a
 // holder mid-hold and asserts lease recovery within the TTL.
@@ -58,7 +53,6 @@
 //	tasbench -mode=net [-scenario pairs|churn|storm|disconnect|flood]
 //	         [-clients C] [-pipeline D] [-locks L] [-duration D] [-ttl TTL]
 //	         [-abandon N] [-wait D] [-addr host:port]
-//	         [-netout BENCH_PR8.json]
 //	         [-netfloor OPS] [-algo combined] [-seed S]
 //	tasbench -mode=hold [-addr host:port] [-holdlock NAME] [-ttl TTL]
 //	         [-holdfor D]
@@ -66,11 +60,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -93,68 +85,7 @@ type netConfig struct {
 	addr     string        // "" = in-process loopback server
 	algo     string        // in-process server's algorithm
 	seed     int64
-	out      string
 	floor    float64 // minimum ops/sec gate (0 = off)
-}
-
-type netReport struct {
-	Schema     string `json:"schema"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GoVersion  string `json:"go_version"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Note       string `json:"note"`
-
-	Algorithm string `json:"algorithm"`
-	Scenario  string `json:"scenario"`
-	Clients   int    `json:"clients"`
-	Pipeline  int    `json:"pipeline_depth"`
-	Locks     int    `json:"locks"`
-	Duration  string `json:"duration"`
-	LeaseTTL  string `json:"lease_ttl,omitempty"`
-
-	Ops       int     `json:"ops"`
-	Pairs     int     `json:"acquire_release_pairs"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	WaitP50Us float64 `json:"wait_p50_us"`
-	WaitP99Us float64 `json:"wait_p99_us"`
-
-	ExclusionVerified bool   `json:"exclusion_verified"`
-	Violations        uint64 `json:"violations"`
-	LeaseExpirations  uint64 `json:"lease_expirations"`
-	FencedReleases    int    `json:"fenced_releases"`
-	Abandoned         int    `json:"abandoned_holds"`
-	Disconnects       int    `json:"disconnects,omitempty"`
-	ServerRounds      uint64 `json:"server_rounds"`
-	ServerContended   uint64 `json:"server_contended"`
-	ServerAborts      uint64 `json:"server_aborts"`
-	ServerRecovered   uint64 `json:"server_recovered"`
-	ArenaSlots        uint64 `json:"arena_slots"`
-	ArenaPuts         uint64 `json:"arena_puts"`
-	// SlotsOutstanding is the arena's live slot population after the
-	// run settled (Hits+Steals+Misses−Puts): the post-storm leak gate,
-	// which must come back to one slot per named lock.
-	SlotsOutstanding int64 `json:"slots_outstanding"`
-
-	// Flood scenario (protocol v3 overload surface). Offered counts
-	// every ACQUIRE the open loop issued; goodput the grants; shed_rate
-	// is sheds/offered. wait_p99_us above covers admitted ops only —
-	// shed answers are not latency.
-	OfferedAcquires     int     `json:"offered_acquires,omitempty"`
-	Goodput             int     `json:"goodput_acquires,omitempty"`
-	GoodputPerSec       float64 `json:"goodput_per_sec,omitempty"`
-	ShedAcquires        int     `json:"shed_acquires,omitempty"`
-	ShedRate            float64 `json:"shed_rate,omitempty"`
-	WaitBudget          string  `json:"wait_budget,omitempty"`
-	ServerShed          uint64  `json:"server_shed,omitempty"`
-	ServerDeadlineExp   uint64  `json:"server_deadline_expired,omitempty"`
-	ServerSlowEvictions uint64  `json:"server_slow_client_evictions,omitempty"`
-	QueueDepthHighWater int64   `json:"queue_depth_high_water,omitempty"`
-	MaxWaiters          int     `json:"max_waiters,omitempty"`
-	MaxInflight         int     `json:"max_inflight,omitempty"`
-
-	FloorOpsPerSec float64 `json:"floor_ops_per_sec,omitempty"`
 }
 
 type netWorker struct {
@@ -325,10 +256,9 @@ func runNet(cfg netConfig) error {
 	if st.Violations != 0 {
 		return fmt.Errorf("net: SERVER COUNTED %d MUTUAL-EXCLUSION VIOLATIONS", st.Violations)
 	}
-	var rounds, contended uint64
+	var rounds uint64
 	for _, l := range st.Locks {
 		rounds += l.Rounds
-		contended += l.Contended
 	}
 	// A truncated snapshot (huge -locks counts) undercounts rounds by
 	// construction; the equality gate only holds on a complete listing
@@ -368,58 +298,6 @@ func runNet(cfg netConfig) error {
 	}
 	outstanding := int64(st.Arena.Hits+st.Arena.Steals+st.Arena.Misses) - int64(st.Arena.Puts)
 
-	report := netReport{
-		Schema:     "randtas-bench-net/v4",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GoVersion:  runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Note: "loopback load on tasd protocol v3: ops = ACQUIRE + RELEASE count; wait = round-trip of admitted ops; " +
-			"exclusion_verified = token-keyed server-side owner check clean; leases and wait budgets per the scenario",
-		Algorithm: algo.String(),
-		Scenario:  cfg.scenario,
-		Clients:   cfg.clients, Pipeline: cfg.pipeline, Locks: cfg.locks,
-		Duration:          elapsed.Round(time.Millisecond).String(),
-		LeaseTTL:          cfg.ttl.String(),
-		Ops:               ops,
-		Pairs:             pairs,
-		OpsPerSec:         opsPerSec,
-		WaitP50Us:         float64(percentile(rtts, 0.50).Microseconds()),
-		WaitP99Us:         float64(percentile(rtts, 0.99).Microseconds()),
-		ExclusionVerified: true,
-		Violations:        st.Violations,
-		LeaseExpirations:  st.LeaseExpirations,
-		FencedReleases:    fenced,
-		Abandoned:         abandoned,
-		Disconnects:       disconnects,
-		ServerRounds:      rounds,
-		ServerContended:   contended,
-		ServerAborts:      st.Aborts,
-		ServerRecovered:   st.Recovered,
-		ArenaSlots:        st.Arena.Slots,
-		ArenaPuts:         st.Arena.Puts,
-		SlotsOutstanding:  outstanding,
-		FloorOpsPerSec:    cfg.floor,
-	}
-	if cfg.scenario == "flood" {
-		offered := granted + shed
-		report.OfferedAcquires = offered
-		report.Goodput = granted
-		report.GoodputPerSec = float64(granted) / elapsed.Seconds()
-		report.ShedAcquires = shed
-		if offered > 0 {
-			report.ShedRate = float64(shed) / float64(offered)
-		}
-		report.WaitBudget = cfg.wait.String()
-		report.ServerShed = st.Shed
-		report.ServerDeadlineExp = st.DeadlineExpired
-		report.ServerSlowEvictions = st.SlowClientEvictions
-		report.QueueDepthHighWater = st.QueueDepthHighWater
-		report.MaxWaiters = st.MaxWaiters
-		report.MaxInflight = st.MaxInflight
-	}
-
 	tbl := harness.Table{
 		Title:   "tasd loopback: sustained lock traffic over TCP (protocol v3)",
 		Headers: []string{"algorithm", "scenario", "ops", "ops/sec", "wait p50", "wait p99", "rounds", "expiries", "fenced", "aborts", "slots out", "violations"},
@@ -440,20 +318,10 @@ func runNet(cfg netConfig) error {
 			"deadline-expired %d, queue high-water %d/%d, in-flight high-water %d/%d, wait budget %v\n\n",
 			offered, float64(offered)/elapsed.Seconds(),
 			granted, float64(granted)/elapsed.Seconds(),
-			shed, 100*report.ShedRate, st.Shed,
+			shed, 100*float64(shed)/float64(offered), st.Shed,
 			st.DeadlineExpired, st.QueueDepthHighWater, st.MaxWaiters,
 			st.InflightHighWater, st.MaxInflight, cfg.wait)
 	}
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(cfg.out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", cfg.out)
 
 	if cfg.floor > 0 && opsPerSec < cfg.floor {
 		return fmt.Errorf("net: %.0f ops/sec below the %.0f floor", opsPerSec, cfg.floor)

@@ -1,7 +1,7 @@
-// Package harness runs the paper-reproduction experiments: it sweeps
-// contention levels, drives algorithms under chosen adversaries on the
-// simulator, aggregates step statistics, and formats the tables that
-// cmd/tasbench prints and EXPERIMENTS.md records.
+// Package harness runs the paper-reproduction experiments: it drives
+// algorithms under chosen adversaries on the simulator and aggregates
+// step statistics for the sweeps of cmd/tasbench's claims table, and it
+// formats fixed-width text tables.
 //
 // The trial driver (Run) shards a cell's Monte Carlo trials across worker
 // goroutines, each owning one pooled simulator System that is
