@@ -43,7 +43,8 @@ type claimsConfig struct {
 	quick  bool
 }
 
-// sweep is the doubling range of n (and of k = n) every sweep shares.
+// sweep is the doubling range of n (and of k = n) that every row shares
+// except the covering construction's and Claim 3.2's.
 func (c claimsConfig) sweep() []int {
 	maxN := 512
 	if c.quick {
