@@ -24,13 +24,13 @@
 //
 // The two backends deliberately sit at different points of the
 // portability/performance trade. The simulator needs the indirection:
-// its registers and handles interpose the adversary and the step-token
-// handshake, so algorithms reach it through these interfaces. The
-// concurrent backend additionally exposes a concrete devirtualized
-// surface (concurrent.Handle.ReadReg/WriteReg on *concurrent.Register)
-// with identical semantics and step accounting. Exactly one algorithm
-// uses it: the constant-step uncontended doorway (tas.FastPath and
-// TAS.TASFastAbortable, over splitter.SplitFast and
+// its registers and handles interpose the adversary and a switch to the
+// scheduler at every step, so algorithms reach it through these
+// interfaces. The concurrent backend additionally exposes a concrete
+// devirtualized surface (concurrent.Handle.ReadReg/WriteReg on
+// *concurrent.Register) with identical semantics and step accounting.
+// Exactly one algorithm uses it: the constant-step uncontended doorway
+// (tas.FastPath and TAS.TASFastAbortable, over splitter.SplitFast and
 // twoproc.LE.ElectFastAbortable), which caches concrete register
 // pointers at construction. Every lock acquisition runs the doorway
 // first, and it is only a handful of steps, so interface dispatch is a

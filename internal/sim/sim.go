@@ -2,40 +2,41 @@
 // model of the paper: n processes, atomic multi-reader multi-writer
 // registers, and an adversary that decides which process takes the next step.
 //
-// Each simulated process runs as a goroutine executing ordinary Go code
-// against the shm abstraction. Control moves between the scheduler and the
-// processes by token passing: every shm.Handle.Read or Write publishes the
-// pending operation in the process's mailbox fields and parks the goroutine
-// until the scheduler grants the step, so exactly one process body runs at
-// any time and executions are fully deterministic given (seed, adversary).
-// This gives exact step counting — the Go runtime scheduler never influences
-// results — which is what the paper's step-complexity statements require.
+// Each simulated process runs its body as an iter.Pull coroutine executing
+// ordinary Go code against the shm abstraction. Every shm.Handle.Read or
+// Write records the pending operation and yields to the scheduler, which
+// resumes the process only when it grants the step, so exactly one process
+// body runs at any time and executions are fully deterministic given
+// (seed, adversary). This gives exact step counting — the Go runtime
+// scheduler never influences results — which is what the paper's
+// step-complexity statements require.
 //
-// # Rendezvous protocol (engine v2)
+// # Process coroutines (engine v2)
 //
-// The scheduler and each process rendezvous through two capacity-1 token
-// channels carrying no data: a per-process resume channel (scheduler →
-// process: start, grant, or exit) and one yield channel shared by all
-// processes (process → scheduler: parked on an op, or body finished).
-// Operation arguments, grant values, and completion flags travel through
-// plain struct fields; the token send/receive pairs provide the
-// happens-before edges that make those fields safe, and because the
-// channels are buffered a sender never blocks — each simulated step costs
-// exactly one park/wake pair per side, with no message copies. At most one
-// process ever holds a token, so all process-body code (including local
-// computation) remains serialized exactly as in engine v1.
+// The scheduler's Start, Step, Kill and Close resume a process through the
+// next function of its iter.Pull pair; the process's Read or Write yields
+// back. A coroutine switch is synchronous — the caller stays suspended
+// until the process yields or its body ends — so the pending operation,
+// the value granted to a read, and the kill flag are plain fields that
+// need no synchronization, and all process-body code (including local
+// computation) remains serialized exactly as in engine v1. Kill resumes
+// the process with its kill flag set, and the pending Read or Write panics
+// with a sentinel that unwinds the body. Any other panic in a body ends
+// its coroutine and surfaces from the scheduler call that resumed the
+// process: Start, Step, Kill or Close.
 //
 // # Reuse and pooling
 //
 // A System built with Config.Reuse can be recycled across executions:
 // Reset(seed) rewinds registers to their initial values (touched registers
 // only — O(steps), not O(space)), clears per-process counters, and reseeds
-// the per-process coin streams, while Start reuses the parked process
-// goroutines from the previous execution instead of spawning fresh ones.
+// the per-process coin streams, while Start resumes the process coroutines
+// parked since the previous execution instead of creating fresh ones.
 // Monte Carlo drivers keep one System per worker and pay construction once
 // per sweep cell instead of once per trial. A Reuse System must be
-// Release()d when abandoned, or its parked goroutines leak; without Reuse
-// the lifecycle is single-shot and Close alone reclaims everything.
+// Release()d when abandoned, or its parked coroutines (one goroutine each)
+// leak; without Reuse the lifecycle is single-shot and Close alone
+// reclaims everything.
 //
 // # Determinism contract and seed mapping
 //
@@ -56,6 +57,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/rng"
 	"repro/internal/shm"
@@ -90,7 +92,7 @@ const (
 	stateCreated procState = iota // not yet running in this execution
 	stateParked                   // published a pending op, awaiting a grant
 	stateDone                     // body returned normally
-	stateKilled                   // crashed by the scheduler (Close or adversary stop)
+	stateKilled                   // crashed by the scheduler (Kill, Close or adversary stop)
 )
 
 // killedError is the sentinel panic value used to unwind a simulated process
@@ -98,9 +100,6 @@ const (
 type killedError struct{}
 
 func (killedError) Error() string { return "sim: process killed" }
-
-// token is the empty rendezvous message; all data rides in mailbox fields.
-type token = struct{}
 
 type pendingOp struct {
 	kind OpKind
@@ -129,37 +128,33 @@ type register struct {
 // RegisterID implements shm.Register.
 func (r *register) RegisterID() int { return r.id }
 
-// Proc is the simulator's implementation of shm.Handle. Each Proc is owned
-// by exactly one simulated process goroutine.
+// Proc is the simulator's implementation of shm.Handle. Each Proc runs its
+// process body as one coroutine.
 type Proc struct {
 	id  int
 	sys *System
 	rng rng.SplitMix64
 
-	// resume is the scheduler→process token channel (capacity 1): a start
-	// token at the top of the goroutine loop, a grant token at each step,
-	// an exit token on Release.
-	resume chan token
+	// next resumes the coroutine until it parks on a step or its body
+	// ends; stop ends a coroutine parked between executions. Both are nil
+	// while the process has no coroutine. yield is the coroutine's side.
+	next  func() (parked, alive bool)
+	stop  func()
+	yield func(parked bool) bool
 
-	// Mailbox written by the process goroutine before it signals the
-	// shared yield channel; the scheduler's receive orders the writes.
-	pending   pendingOp
-	yieldDone bool // body finished (normally or by kill unwind)
+	// Set before the coroutine is resumed: the body to run, and the
+	// scheduler's answer to the pending op (the value read, or a kill).
+	body  func(h shm.Handle)
+	grant shm.Value
+	kill  bool
 
-	// Mailbox written by the scheduler before it sends a resume token;
-	// the process's receive orders the writes.
-	body      func(h shm.Handle)
-	grantVal  shm.Value
-	grantKill bool
-
-	// Fields below are owned by the scheduler side.
+	pending pendingOp // set by the coroutine before it yields
 	state   procState
 	steps   int
 	coins   int
 	ccRMRs  int   // remote memory references, cache-coherent model
 	dsmRMRs int   // remote memory references, distributed-shared-memory model
 	cache   []int // CC cache: register id → write version last read
-	spawned bool  // goroutine is alive (running a body or parked in its loop)
 }
 
 var _ shm.Handle = (*Proc)(nil)
@@ -167,26 +162,25 @@ var _ shm.Handle = (*Proc)(nil)
 // ID implements shm.Handle.
 func (p *Proc) ID() int { return p.id }
 
-// Read implements shm.Handle. It parks the calling goroutine until the
-// scheduler grants the step.
+// Read implements shm.Handle. It parks the process until the scheduler
+// grants the step.
 func (p *Proc) Read(r shm.Register) shm.Value {
 	return p.step(pendingOp{kind: OpRead, reg: p.sys.mustOwn(r)})
 }
 
-// Write implements shm.Handle. It parks the calling goroutine until the
-// scheduler grants the step.
+// Write implements shm.Handle. It parks the process until the scheduler
+// grants the step.
 func (p *Proc) Write(r shm.Register, v shm.Value) {
 	p.step(pendingOp{kind: OpWrite, reg: p.sys.mustOwn(r), val: v})
 }
 
 func (p *Proc) step(op pendingOp) shm.Value {
 	p.pending = op
-	p.sys.yield <- token{}
-	<-p.resume
-	if p.grantKill {
+	p.yield(true)
+	if p.kill {
 		panic(killedError{})
 	}
-	return p.grantVal
+	return p.grant
 }
 
 // Intn implements shm.Handle: a local coin flip, not a shared-memory step.
@@ -207,37 +201,31 @@ func (p *Proc) Coin(prob float64) bool {
 	return p.rng.Coin(prob)
 }
 
-// loop is the body of a process goroutine: wait for a start token, run the
-// installed body, report completion, and — on a Reuse System — park for the
-// next execution. A nil body is the exit token sent by Release.
-func (p *Proc) loop() {
+// run is the process coroutine: it runs the installed body and, on a
+// Reuse System, parks between executions until Start resumes it with the
+// next body or Release stops it.
+func (p *Proc) run(yield func(parked bool) bool) {
+	p.yield = yield
 	for {
-		<-p.resume
-		body := p.body
-		if body == nil {
-			return
-		}
-		p.runBody(body)
-		if !p.sys.cfg.Reuse {
+		p.runBody()
+		if !p.sys.cfg.Reuse || !yield(false) {
 			return
 		}
 	}
 }
 
 // runBody executes the process body, converting the kill sentinel into a
-// clean exit and reporting completion to the scheduler. Panics other than
-// the kill sentinel propagate: a bug in algorithm code should crash tests.
-func (p *Proc) runBody(body func(h shm.Handle)) {
+// clean exit. Other panics propagate to the scheduler call that resumed
+// the process: a bug in algorithm code should crash tests.
+func (p *Proc) runBody() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killedError); !ok {
 				panic(r)
 			}
 		}
-		p.yieldDone = true
-		p.sys.yield <- token{}
 	}()
-	body(p)
+	p.body(p)
 }
 
 // StepEvent describes one executed shared-memory step, for tracing.
@@ -257,8 +245,8 @@ type Config struct {
 	// Seed, body, and schedule produce identical executions. See the
 	// package comment for the engine v2 seed→schedule mapping bump.
 	Seed int64
-	// Reuse keeps process goroutines parked between executions so that
-	// Reset/Start cycles recycle their stacks instead of respawning.
+	// Reuse keeps process coroutines parked between executions so that
+	// Reset/Start cycles recycle their stacks instead of creating new ones.
 	// A Reuse System must be Release()d when abandoned; without Reuse
 	// the System is single-shot and Close reclaims everything.
 	Reuse bool
@@ -291,13 +279,12 @@ type Config struct {
 // System is one simulated shared-memory machine: a set of registers, a set
 // of processes, and the scheduling machinery. A System runs one execution
 // at a time; with Config.Reuse it can be Reset and rerun arbitrarily many
-// times, recycling registers, goroutine stacks, and per-process state.
+// times, recycling registers, coroutines, and per-process state.
 type System struct {
 	cfg       Config
 	registers []*register
 	touched   []*register // registers read or written in this execution
 	procs     []*Proc
-	yield     chan token // process → scheduler rendezvous, shared
 	schedule  []int
 	time      int
 	parked    int
@@ -315,18 +302,9 @@ func NewSystem(cfg Config) *System {
 	if cfg.N <= 0 {
 		panic(fmt.Sprintf("sim: invalid process count %d", cfg.N))
 	}
-	s := &System{
-		cfg:   cfg,
-		procs: make([]*Proc, cfg.N),
-		yield: make(chan token, 1),
-	}
+	s := &System{cfg: cfg, procs: make([]*Proc, cfg.N)}
 	for i := range s.procs {
-		s.procs[i] = &Proc{
-			id:     i,
-			sys:    s,
-			rng:    rng.New(procSeed(cfg.Seed, i)),
-			resume: make(chan token, 1),
-		}
+		s.procs[i] = &Proc{id: i, sys: s, rng: rng.New(procSeed(cfg.Seed, i))}
 	}
 	return s
 }
@@ -337,16 +315,8 @@ func NewSystem(cfg Config) *System {
 // constant per draw, so un-scrambled stride-spaced origins would make
 // process p's stream an exact p-draw shift of process 0's.
 func procSeed(seed int64, pid int) uint64 {
-	return splitmix64(uint64(seed) + uint64(pid)*0x9e3779b97f4a7c15)
-}
-
-// splitmix64 is the splitmix64 finalizer, used for seed scrambling only
-// (per-stream generation lives in internal/rng).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	g := rng.New(uint64(seed) + uint64(pid)*0x9e3779b97f4a7c15)
+	return g.Next()
 }
 
 // NewRegister implements shm.Space.
@@ -370,14 +340,13 @@ func (s *System) mustOwn(r shm.Register) *register {
 // N returns the number of processes.
 func (s *System) N() int { return s.cfg.N }
 
-// Start launches the process goroutines running body and waits until every
-// process is parked on its first shared-memory step or has finished. No
-// steps are executed. Start may be called once per execution; Reset the
-// System to run another.
+// Start runs body on every process until each is parked on its first
+// shared-memory step or has finished. No steps are executed. Start may be
+// called once per execution; Reset the System to run another.
 //
 // Processes are started one at a time, each run up to its first
 // shared-memory operation before the next starts: together with the
-// step-token protocol this serializes *all* process code (including local
+// coroutine switches this serializes *all* process code (including local
 // computation before the first step), so process bodies may safely share
 // plain test instrumentation without synchronization.
 func (s *System) Start(body func(h shm.Handle)) {
@@ -401,34 +370,25 @@ func (s *System) Start(body func(h shm.Handle)) {
 	}
 	for _, p := range s.procs {
 		p.body = body
-		if !p.spawned {
-			p.spawned = true
-			go p.loop() //taslint:allow detclock -- engine actor spawn: the loop blocks on the resume channel immediately, so only the token rendezvous below orders execution
+		if p.next == nil {
+			p.next, p.stop = iter.Pull(p.run)
 		}
-		p.resume <- token{}
-		s.await(p)
+		s.resume(p)
 	}
 }
 
-// await blocks until p publishes its next pending op or reports completion.
-func (s *System) await(p *Proc) {
-	<-s.yield
-	if p.yieldDone {
-		p.yieldDone = false
-		if !s.cfg.Reuse {
-			p.spawned = false // the goroutine exits after a one-shot body
-		}
-		if p.state == stateParked {
-			s.parked--
-		}
-		if p.state == stateKilled {
-			return // completion report of the kill handshake
-		}
-		p.state = stateDone
-		return
+// resume runs p until it parks on its next step or its body ends.
+func (s *System) resume(p *Proc) {
+	parked, alive := p.next()
+	if !alive {
+		p.next, p.stop = nil, nil // a one-shot coroutine ends with its body
 	}
-	p.state = stateParked
-	s.parked++
+	if parked {
+		p.state = stateParked
+		s.parked++
+	} else if p.state != stateKilled {
+		p.state = stateDone
+	}
 }
 
 // Step executes one shared-memory step of process pid, which must be
@@ -471,9 +431,8 @@ func (s *System) Step(pid int) StepEvent {
 	if s.cfg.StepHook != nil {
 		s.cfg.StepHook(ev)
 	}
-	p.grantVal = ev.Val
-	p.resume <- token{}
-	s.await(p)
+	p.grant = ev.Val
+	s.resume(p)
 	return ev
 }
 
@@ -521,7 +480,7 @@ func (s *System) chargeRMRs(p *Proc, op pendingOp) {
 	}
 }
 
-// Kill crashes process pid: its goroutine unwinds and it takes no further
+// Kill crashes process pid: its body unwinds and it takes no further
 // steps. Killing a non-parked process is a no-op.
 func (s *System) Kill(pid int) {
 	p := s.procs[pid]
@@ -530,15 +489,14 @@ func (s *System) Kill(pid int) {
 	}
 	p.state = stateKilled
 	s.parked--
-	p.grantKill = true
-	p.resume <- token{}
-	s.await(p)
-	p.grantKill = false
+	p.kill = true
+	s.resume(p)
+	p.kill = false
 }
 
 // Close crashes every still-parked process. It is safe to call multiple
 // times and must be called (directly or via Run) before abandoning a
-// started System. On a Reuse System the process goroutines stay parked for
+// started System. On a Reuse System the process coroutines stay parked for
 // the next Reset/Start cycle; Release frees them for good.
 func (s *System) Close() {
 	if s.closed {
@@ -558,7 +516,7 @@ func (s *System) Close() {
 // their construction-time values, step and coin counters are cleared, and
 // every process's coin stream is reseeded from seed exactly as
 // NewSystem(Config{Seed: seed}) would. The registers, algorithm objects
-// built on them, and (with Config.Reuse) the process goroutines all
+// built on them, and (with Config.Reuse) the process coroutines all
 // survive, so a Reset costs O(steps of the previous execution), not
 // O(space). A running System is Closed first.
 func (s *System) Reset(seed int64) {
@@ -596,10 +554,10 @@ func (s *System) Reset(seed int64) {
 	s.closed = false
 }
 
-// Release permanently shuts the System down. On a Reuse System this
-// terminates the process goroutines parked between executions (a Reuse
-// System that is never Released leaks one goroutine per process); without
-// Reuse it is equivalent to Close. The System cannot be used afterwards.
+// Release permanently shuts the System down. On a Reuse System this ends
+// the process coroutines parked between executions (a Reuse System that is
+// never Released leaks one goroutine per process); without Reuse it is
+// equivalent to Close. The System cannot be used afterwards.
 func (s *System) Release() {
 	if s.released {
 		return
@@ -607,10 +565,9 @@ func (s *System) Release() {
 	s.Close()
 	s.released = true
 	for _, p := range s.procs {
-		if p.spawned {
-			p.body = nil // exit token
-			p.resume <- token{}
-			p.spawned = false
+		if p.stop != nil {
+			p.stop()
+			p.next, p.stop = nil, nil
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -111,7 +112,7 @@ func goldenConfig(trace *strings.Builder) (cfg Config, rewind func()) {
 // TestGoldenTrace replays the golden scenario — core.NewLogStar(·, 16) at
 // k = 5 under the adaptive lockstep adversary, coins overridden — and
 // demands the exact trace recorded on engine v1. This is the regression
-// test for the engine swap: any change to the rendezvous protocol, the
+// test for the engine swaps: any change to the coroutine switching, the
 // start serialization, or the step accounting that alters scheduling
 // semantics shows up as a trace diff.
 func TestGoldenTrace(t *testing.T) {
@@ -137,7 +138,7 @@ func TestGoldenTrace(t *testing.T) {
 }
 
 // TestGoldenTraceAfterReset replays the golden scenario twice on one Reuse
-// System with a Reset in between: the recycled registers, goroutines, and
+// System with a Reset in between: the recycled registers, coroutines, and
 // counters must reproduce the identical trace, including when the first
 // execution is cut off mid-flight (dirty registers, killed processes).
 func TestGoldenTraceAfterReset(t *testing.T) {
@@ -150,7 +151,7 @@ func TestGoldenTraceAfterReset(t *testing.T) {
 	body := func(h shm.Handle) { le.Elect(h) }
 
 	// A throwaway execution stopped after 7 steps leaves dirty registers
-	// and killed goroutines behind for Reset to clean up.
+	// and killed processes behind for Reset to clean up.
 	steps := 0
 	sys.Run(&Func{Vis: VisibilityAdaptive, Pick: func(v View) int {
 		if steps >= 7 {
@@ -313,14 +314,21 @@ func TestReuseAfterKill(t *testing.T) {
 	}
 }
 
-// TestReleaseLifecycle checks Release terminates the pooled goroutines and
+// TestReleaseLifecycle checks Release ends the pooled coroutines and
 // fences off further use.
 func TestReleaseLifecycle(t *testing.T) {
+	base := runtime.NumGoroutine()
 	sys := NewSystem(Config{N: 2, Seed: 1, Reuse: true})
 	r := sys.NewRegister(0)
 	sys.Run(NewRoundRobin(), func(h shm.Handle) { h.Write(r, 1) })
+	if n := runtime.NumGoroutine(); n != base+2 {
+		t.Errorf("%d goroutines between executions, want %d parked coroutines over the baseline %d", n, 2, base)
+	}
 	sys.Release()
 	sys.Release() // idempotent
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("%d goroutines after Release, want the baseline %d", n, base)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("Start after Release did not panic")
@@ -441,8 +449,8 @@ func TestPendingVisibility(t *testing.T) {
 	}
 }
 
-// TestKillUnblocksProcesses ensures crashed processes release their
-// goroutines and take no further steps.
+// TestKillUnblocksProcesses ensures crashed processes unwind their bodies
+// and take no further steps.
 func TestKillUnblocksProcesses(t *testing.T) {
 	sys := NewSystem(Config{N: 4, Seed: 1})
 	r := sys.NewRegister(0)
@@ -568,5 +576,48 @@ func TestStepHookTrace(t *testing.T) {
 	}
 	if events[0].Time != 0 || events[1].Time != 1 {
 		t.Errorf("timestamps wrong: %+v", events)
+	}
+}
+
+// TestBodyPanicSurfaces checks that a panic in a process body, other than
+// the kill sentinel, surfaces from the scheduler call that resumed the
+// process — Start for code before the first step, Step after a grant,
+// Kill and Close for code a kill unwinds through — and ends only that
+// process.
+func TestBodyPanicSurfaces(t *testing.T) {
+	type boom struct{}
+	panicOnUnwind := func(h shm.Handle, r shm.Register) {
+		defer func() { panic(boom{}) }()
+		h.Write(r, 1)
+	}
+	for _, tc := range []struct {
+		name string
+		body func(h shm.Handle, r shm.Register)
+		run  func(sys *System)
+	}{
+		{"Start", func(h shm.Handle, r shm.Register) { panic(boom{}) }, func(sys *System) {}},
+		{"Step", func(h shm.Handle, r shm.Register) {
+			h.Write(r, 1)
+			panic(boom{})
+		}, func(sys *System) { sys.Step(0) }},
+		{"Kill", panicOnUnwind, func(sys *System) { sys.Kill(0) }},
+		{"Close", panicOnUnwind, func(sys *System) { sys.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := NewSystem(Config{N: 1, Seed: 1})
+			r := sys.NewRegister(0)
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				sys.Start(func(h shm.Handle) { tc.body(h, r) })
+				tc.run(sys)
+				return nil
+			}()
+			if got != (boom{}) {
+				t.Fatalf("recovered %v from %s, want the body's panic", got, tc.name)
+			}
+			if sys.Parked(0) || sys.Finished(0) {
+				t.Errorf("process is parked=%v finished=%v after its body panicked", sys.Parked(0), sys.Finished(0))
+			}
+		})
 	}
 }
