@@ -80,17 +80,23 @@ func (c *Combined) Elect(h shm.Handle) bool {
 	// Pre-receive each fiber's first event; thereafter the combiner
 	// always holds the current event of every live fiber, so whenever a
 	// rule consults prog the RatRace fiber is parked and its writes are
-	// ordered before ours by the channel handshake.
+	// ordered before ours by the channel handshake. A stopped execution
+	// takes no further step; its fiber is killed on the way out of Elect,
+	// including when the process itself crashes inside serve.
 	evRR, evA := <-fRR.ops, <-fA.ops
+	defer func() {
+		killFiber(fRR, &evRR)
+		killFiber(fA, &evA)
+	}()
 	rrTurn := true // odd steps belong to RatRace
 
 	for {
 		// Settle finished executions before taking further steps.
 		if evRR.done {
-			return c.settleRR(h, evRR, fA, &evA)
+			return c.settleRR(h, evRR)
 		}
 		if evA.done {
-			if done, won := c.settleA(h, evA, fRR, &evRR, prog); done {
+			if done, won := c.settleA(h, evA, prog); done {
 				return won
 			}
 			// Rule 3 else-branch: the process already won a splitter
@@ -99,7 +105,7 @@ func (c *Combined) Elect(h shm.Handle) bool {
 				serve(h, evRR.op)
 				evRR = <-fRR.ops
 				if evRR.done {
-					return c.settleRR(h, evRR, fA, &evA)
+					return c.settleRR(h, evRR)
 				}
 			}
 		}
@@ -116,10 +122,7 @@ func (c *Combined) Elect(h shm.Handle) bool {
 }
 
 // settleRR applies Rules 1 and 2 when the RatRace fiber finishes.
-func (c *Combined) settleRR(h shm.Handle, ev fiberEvent, other *fiber, otherEv *fiberEvent) bool {
-	if !otherEv.done {
-		killFiber(other, otherEv)
-	}
+func (c *Combined) settleRR(h shm.Handle, ev fiberEvent) bool {
 	if ev.result {
 		return c.top.Elect(h, 0) // Rule 1: RatRace winner contends at LE_top
 	}
@@ -128,17 +131,11 @@ func (c *Combined) settleRR(h shm.Handle, ev fiberEvent, other *fiber, otherEv *
 
 // settleA applies Rules 1 and 3 when the A fiber finishes. done=false
 // means Rule 3's else-branch: the process keeps running RatRace alone.
-func (c *Combined) settleA(h shm.Handle, ev fiberEvent, rrFiber *fiber, rrEv *fiberEvent, prog *ratrace.Progress) (done, won bool) {
+func (c *Combined) settleA(h shm.Handle, ev fiberEvent, prog *ratrace.Progress) (done, won bool) {
 	if ev.result {
-		if !rrEv.done {
-			killFiber(rrFiber, rrEv)
-		}
 		return true, c.top.Elect(h, 1) // Rule 1: A's winner contends at LE_top
 	}
 	if !prog.WonSplitter {
-		if !rrEv.done {
-			killFiber(rrFiber, rrEv)
-		}
 		return true, false // Rule 3, no splitter won: lose
 	}
 	return false, false // Rule 3: continue RatRace alone
@@ -243,14 +240,14 @@ func startFiber(id int, seed int64, run func(h shm.Handle) bool) *fiber {
 	return f
 }
 
-// killFiber aborts a live fiber (whose current event is *ev, an op) and
+// killFiber aborts fiber f, if its current event *ev is still an op, and
 // waits for its goroutine to unwind, so no goroutines outlive Elect.
 func killFiber(f *fiber, ev *fiberEvent) {
-	close(f.kill)
-	cur := *ev
-	for !cur.done {
-		cur = <-f.ops
+	if ev.done {
+		return
 	}
-	*ev = cur
-	ev.done = true
+	close(f.kill)
+	for !ev.done {
+		*ev = <-f.ops
+	}
 }

@@ -1,7 +1,9 @@
 package combiner
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ratrace"
@@ -220,5 +222,43 @@ func TestDeterminism(t *testing.T) {
 		if w1[i] != w2[i] {
 			t.Fatalf("winner sets differ at %d", i)
 		}
+	}
+}
+
+// TestNoFiberOutlivesCrash crashes processes inside Elect, both by an
+// adversary that stops early (Close kills the parked processes) and by an
+// explicit Kill, and checks that the goroutine count returns to its
+// baseline: no fiber may stay blocked after its process is gone.
+func TestNoFiberOutlivesCrash(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for seed := int64(0); seed < 20; seed++ {
+		sys := sim.NewSystem(sim.Config{N: 4, Seed: seed})
+		comb, _ := build(sys, 4)
+		body := func(h shm.Handle) { comb.Elect(h) }
+		if seed%2 == 0 {
+			steps := 0
+			sys.Run(&sim.Func{Vis: sim.VisibilityAdaptive, Pick: func(v sim.View) int {
+				if steps >= 12 {
+					return -1
+				}
+				steps++
+				return sim.NewLockstep().Next(v)
+			}}, body)
+			continue
+		}
+		sys.Start(body)
+		for i := 0; i < 3; i++ {
+			sys.Step(1)
+		}
+		sys.Kill(1)
+		sys.Close()
+	}
+	// A killed fiber's goroutine exits shortly after Elect returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after 20 crashed runs, want the baseline %d", n, base)
 	}
 }
