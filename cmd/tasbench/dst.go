@@ -23,8 +23,12 @@ type dstConfig struct {
 	verbose  bool   // one line per seed instead of a summary
 }
 
-// dstFaults is the byte-level fault mix applied to every fourth seed,
-// so the corpus covers both the fault-free fabric (where the strict
+// faultEvery spaces the seeds that run under dstFaults: corpus indices
+// 3, 7, 11, ...
+const faultEvery = 4
+
+// dstFaults is the byte-level fault mix applied to every faultEvery-th
+// seed, so the corpus covers both the fault-free fabric (where the strict
 // expectations assert) and a lossy one (where only the unconditional
 // invariants can).
 var dstFaults = dst.Faults{
@@ -37,22 +41,41 @@ var dstFaults = dst.Faults{
 	ResetProb:    0.005,
 }
 
+// run returns the configuration of corpus index i.
+func (cfg dstConfig) run(i int) dstrun.Config {
+	sc := dstrun.Scenario(cfg.scenario)
+	if cfg.scenario == "" || cfg.scenario == "all" {
+		sc = dstrun.Scenarios[i%len(dstrun.Scenarios)]
+	}
+	rc := dstrun.Config{Seed: cfg.base + uint64(i), Scenario: sc, Ops: cfg.ops}
+	if i%faultEvery == faultEvery-1 {
+		rc.Faults = dstFaults
+	}
+	return rc
+}
+
+// replay returns the command line whose corpus ends with the run at index
+// i: that seed alone for a fault-free index, and for a faulted one the
+// faultEvery seeds that put it back at a faulted index.
+func (cfg dstConfig) replay(i int) string {
+	rc := cfg.run(i)
+	seeds := 1
+	if rc.Faults != (dst.Faults{}) {
+		seeds = faultEvery
+	}
+	return fmt.Sprintf("tasbench -mode=dst -dstseeds %d -seed %d -dstscenario %s -dstops %d",
+		seeds, int64(rc.Seed)-int64(seeds-1), rc.Scenario, cfg.ops)
+}
+
 func runDST(cfg dstConfig) error {
 	if cfg.seeds <= 0 {
-		cfg.seeds = 64
+		return fmt.Errorf("dst: -dstseeds must be positive, got %d", cfg.seeds)
 	}
 	start := time.Now()
 	failed := 0
 	for i := 0; i < cfg.seeds; i++ {
-		seed := cfg.base + uint64(i)
-		sc := dstrun.Scenario(cfg.scenario)
-		if cfg.scenario == "" || cfg.scenario == "all" {
-			sc = dstrun.Scenarios[i%len(dstrun.Scenarios)]
-		}
-		rc := dstrun.Config{Seed: seed, Scenario: sc, Ops: cfg.ops}
-		if i%4 == 3 {
-			rc.Faults = dstFaults
-		}
+		rc := cfg.run(i)
+		seed, sc := rc.Seed, rc.Scenario
 		rep, err := dstrun.Run(rc)
 		if err != nil {
 			return fmt.Errorf("dst: setup failed on seed %#x: %v", seed, err)
@@ -72,7 +95,7 @@ func runDST(cfg dstConfig) error {
 		if rep.Failed() {
 			failed++
 			fmt.Printf("FAIL seed %#x scenario %-5s  violations=%d errors=%q\n", seed, sc, rep.Violations, rep.Errors)
-			fmt.Printf("  replay: tasbench -mode=dst -dstseeds 1 -seed %d -dstscenario %s\n", int64(seed), sc)
+			fmt.Printf("  replay: %s\n", cfg.replay(i))
 		} else if cfg.verbose {
 			fmt.Printf("ok   seed %#x scenario %-5s  events=%-7d hash=%#016x virtual=%-10v acq=%d rel=%d ext=%d elect=%d fuzz=%d exp=%d evict=%d abort=%d"+
 				" rec=%d busy=%d fenced=%d redial=%d cancel=%d hangup=%d slots=%d cancelmax=%v shed=%d dlexp=%d slowevict=%d qhw=%d goodput=%d\n",
