@@ -137,8 +137,8 @@ func inDeterministicSet(path string) bool {
 }
 
 // Suite is the taslint analyzer set, in reporting order: the six
-// repo-invariant analyzers, then the stdlib-only subsets of the
-// standard nilness/lostcancel/copylocks passes.
+// repo-invariant analyzers, then the stdlib-only subset of the standard
+// nilness pass (go vet itself runs lostcancel and copylocks).
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		DetClock,
@@ -148,8 +148,6 @@ func Suite() []*Analyzer {
 		AtomicOr,
 		HotClock,
 		Nilness,
-		LostCancel,
-		CopyLocks,
 	}
 }
 

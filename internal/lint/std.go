@@ -1,14 +1,15 @@
 package lint
 
-// This file holds stdlib-only working subsets of three standard
-// golang.org/x/tools/go/analysis passes — nilness, lostcancel and
-// copylocks — reimplemented here because the module deliberately takes
-// no dependency on x/tools (see MIGRATION.md: the container/CI build
-// must work with nothing but the toolchain). Each subset is strictly
-// narrower than its upstream namesake: it keeps the high-signal cases
-// and drops anything needing SSA or control-flow graphs, so a clean run
-// here does not imply a clean upstream run — but every finding here is
-// one upstream would also report.
+// This file holds a stdlib-only working subset of the standard
+// golang.org/x/tools/go/analysis nilness pass, reimplemented here because
+// the module deliberately takes no dependency on x/tools (see
+// MIGRATION.md: the build must work with nothing but the toolchain) and
+// go vet does not run nilness. The subset is strictly narrower than its
+// upstream namesake: it keeps the high-signal case and drops anything
+// needing SSA or control-flow graphs, so a clean run here does not imply
+// a clean upstream run — but every finding here is one upstream would
+// also report. The lostcancel and copylocks passes need no copy: go vet
+// runs them in full.
 
 import (
 	"go/ast"
@@ -123,199 +124,4 @@ func reportNilDerefs(pass *Pass, body *ast.BlockStmt, obj types.Object, name str
 func usesObj(pass *Pass, e ast.Expr, obj types.Object) bool {
 	id, isIdent := ast.Unparen(e).(*ast.Ident)
 	return isIdent && pass.TypesInfo.Uses[id] == obj
-}
-
-// ---- lostcancel (subset) -------------------------------------------
-
-// LostCancel flags context.WithCancel/WithTimeout/WithDeadline calls
-// whose cancel function is discarded with the blank identifier. (The
-// upstream pass also tracks cancels that escape uncalled through the
-// CFG; discarding to _ is the unambiguous core, and the only form the
-// compiler cannot already catch as an unused variable.)
-var LostCancel = &Analyzer{
-	Name: "lostcancel",
-	Doc:  "flag context cancel functions discarded with _ (subset of x/tools lostcancel)",
-	Run:  runLostCancel,
-}
-
-var cancelFuncs = map[string]bool{
-	"WithCancel": true, "WithTimeout": true, "WithDeadline": true, "WithCancelCause": true,
-}
-
-func runLostCancel(pass *Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			as, isAssign := n.(*ast.AssignStmt)
-			if !isAssign || len(as.Rhs) != 1 || len(as.Lhs) != 2 {
-				return true
-			}
-			call, isCall := as.Rhs[0].(*ast.CallExpr)
-			if !isCall {
-				return true
-			}
-			pkg, name, ok := pkgFunc(pass.TypesInfo, call)
-			if !ok || pkg != "context" || !cancelFuncs[name] {
-				return true
-			}
-			if id, isIdent := as.Lhs[1].(*ast.Ident); isIdent && id.Name == "_" {
-				pass.Report(id.Pos(),
-					"the cancel function of context.%s is discarded: the context (and its timer) leak until the parent is canceled", name)
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// ---- copylocks (subset) --------------------------------------------
-
-// CopyLocks flags copies of values whose type transitively contains a
-// sync or sync/atomic no-copy type: by-value function parameters and
-// results, assignments from an existing addressable value, and range
-// statements that copy lock-bearing elements. Composite-literal
-// initialization stays legal, as upstream allows.
-var CopyLocks = &Analyzer{
-	Name: "copylocks",
-	Doc:  "flag by-value copies of types containing sync primitives (subset of x/tools copylocks)",
-	Run:  runCopyLocks,
-}
-
-func runCopyLocks(pass *Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkFieldListCopies(pass, n.Type)
-			case *ast.FuncLit:
-				checkFieldListCopies(pass, n.Type)
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					if len(n.Rhs) != len(n.Lhs) {
-						break
-					}
-					if isAddressableValue(rhs) {
-						if path := lockPath(pass.TypesInfo.TypeOf(rhs)); path != "" {
-							pass.Report(n.Lhs[i].Pos(), "assignment copies a value containing %s", path)
-						}
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if path := lockPath(pass.TypesInfo.TypeOf(n.Value)); path != "" {
-						pass.Report(n.Value.Pos(), "range copies elements containing %s; range over indices instead", path)
-					}
-				}
-			case *ast.CallExpr:
-				// Passing a lock-bearing value as an argument copies it.
-				// len/cap/new (and unsafe.*) take no runtime copy, and a
-				// type argument (new(T), conversions) is not a value.
-				if isNonCopyingBuiltin(pass, n) {
-					return true
-				}
-				for _, arg := range n.Args {
-					if tv, ok := pass.TypesInfo.Types[arg]; ok && tv.IsType() {
-						continue
-					}
-					if isAddressableValue(arg) {
-						if path := lockPath(pass.TypesInfo.TypeOf(arg)); path != "" {
-							pass.Report(arg.Pos(), "call passes a copy of a value containing %s", path)
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-func checkFieldListCopies(pass *Pass, ft *ast.FuncType) {
-	check := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := pass.TypesInfo.TypeOf(field.Type)
-			if path := lockPath(t); path != "" {
-				pass.Report(field.Pos(), "by-value parameter or result copies a value containing %s; pass a pointer", path)
-			}
-		}
-	}
-	check(ft.Params)
-	check(ft.Results)
-}
-
-// isNonCopyingBuiltin reports whether call invokes a builtin that takes
-// no runtime copy of its operand (len, cap, new) or an unsafe.* sizing
-// helper.
-func isNonCopyingBuiltin(pass *Pass, call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if _, isBuiltin := pass.TypesInfo.Uses[fun].(*types.Builtin); isBuiltin {
-			switch fun.Name {
-			case "len", "cap", "new":
-				return true
-			}
-		}
-	case *ast.SelectorExpr:
-		if id, isIdent := fun.X.(*ast.Ident); isIdent {
-			if pkg, isPkg := pass.TypesInfo.Uses[id].(*types.PkgName); isPkg && pkg.Imported().Path() == "unsafe" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// isAddressableValue reports whether e denotes an existing value
-// (identifier, field, element or dereference) rather than a fresh one
-// (composite literal, call result, conversion) — upstream only flags
-// copies of values that continue to exist elsewhere.
-func isAddressableValue(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name != "_" && e.Name != "nil"
-	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	}
-	return false
-}
-
-// lockPath returns a description like "sync.Mutex" when t transitively
-// contains a no-copy sync primitive by value, or "" otherwise.
-func lockPath(t types.Type) string {
-	return lockPathRec(t, 0)
-}
-
-var noCopyTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Cond": true,
-	"Once": true, "Pool": true, "Map": true,
-	// sync/atomic value types embed noCopy too.
-	"Bool": true, "Int32": true, "Int64": true, "Uint32": true,
-	"Uint64": true, "Uintptr": true, "Pointer": true, "Value": true,
-}
-
-func lockPathRec(t types.Type, depth int) string {
-	if t == nil || depth > 10 {
-		return ""
-	}
-	if pkg, name, ok := namedPath(t); ok {
-		if _, isPtr := t.(*types.Pointer); isPtr {
-			return "" // a pointer to a lock is fine to copy
-		}
-		if (pkg == "sync" || pkg == "sync/atomic") && noCopyTypes[name] {
-			return pkg + "." + name
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if p := lockPathRec(u.Field(i).Type(), depth+1); p != "" {
-				return p
-			}
-		}
-	case *types.Array:
-		return lockPathRec(u.Elem(), depth+1)
-	}
-	return ""
 }

@@ -44,5 +44,5 @@ func TestHotClock(t *testing.T) {
 }
 
 func TestStdSubsets(t *testing.T) {
-	runFixture(t, "std", "x/stdfixture", Nilness, LostCancel, CopyLocks)
+	runFixture(t, "std", "x/stdfixture", Nilness)
 }

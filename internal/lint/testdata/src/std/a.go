@@ -1,11 +1,6 @@
-// Package fixture exercises the stdlib-only subsets of the standard
-// nilness, lostcancel and copylocks passes.
+// Package fixture exercises the stdlib-only subset of the standard
+// nilness pass.
 package fixture
-
-import (
-	"context"
-	"sync"
-)
 
 type node struct {
 	next *node
@@ -25,40 +20,4 @@ func nilnessReassigned(n *node) int {
 		return n.val
 	}
 	return n.val
-}
-
-func lostCancelHit(ctx context.Context) context.Context {
-	ctx, _ = context.WithCancel(ctx) // want "cancel function of context.WithCancel is discarded"
-	return ctx
-}
-
-func lostCancelNonHit(ctx context.Context) (context.Context, context.CancelFunc) {
-	return context.WithCancel(ctx)
-}
-
-func copyLocksParam(mu sync.Mutex) {} // want "by-value parameter or result copies a value containing sync.Mutex"
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-func copyLocksAssign(g *guarded) int {
-	cp := *g // want "assignment copies a value containing sync.Mutex"
-	return cp.n
-}
-
-func copyLocksRange(gs []guarded) int {
-	total := 0
-	for i := range gs { // by-index: no copy, no finding
-		total += gs[i].n
-	}
-	for _, g := range gs { // want "range copies elements containing sync.Mutex"
-		total += g.n
-	}
-	return total
-}
-
-func copyLocksPointerFine(g *guarded) *sync.Mutex {
-	return &g.mu
 }
