@@ -31,6 +31,11 @@ func main() {
 		algo = flag.String("algo", "logstar", "algorithm: logstar, sifting, ratrace, agtv")
 	)
 	flag.Parse()
+	if *n < 4 {
+		fmt.Fprintf(os.Stderr, "tascover: -n %d: the construction needs at least 4 processes\n", *n)
+		flag.Usage()
+		os.Exit(1)
+	}
 
 	setup, ok := setups(*n)[*algo]
 	if !ok {

@@ -34,6 +34,11 @@ func main() {
 		maxStep = flag.Int("max", 200, "stop after this many steps")
 	)
 	flag.Parse()
+	if *k < 1 || *k > *n {
+		fmt.Fprintf(os.Stderr, "tastrace: -k %d -n %d: want 1 ≤ k ≤ n\n", *k, *n)
+		flag.Usage()
+		os.Exit(1)
+	}
 
 	steps := 0
 	cfg := sim.Config{N: *k, Seed: *seed, StepHook: func(ev sim.StepEvent) {
