@@ -418,12 +418,19 @@ func (p *MutexProc) Abort() {
 // return means some other proc holds (or just won) the lock, or the
 // mutex is retired. Failed probes are counted in MutexStats.ProbeLosses,
 // not Contended.
+//
+// A probe of a round whose claim already sits in the gate loses without
+// running the round's TAS: the gate holds r.seq only after a TAS on r
+// returned 0 (or while abort recovery closes r), so the TAS could only
+// lose. The refusal is booked like a lost TAS, p.last included, so a
+// later Lock on the same round parks instead of entering it.
 func (p *MutexProc) TryLock() (uint64, bool) {
 	if p.held != nil {
 		panic("arena: TryLock on a MutexProc that already holds the mutex")
 	}
 	r := p.m.cur.Load()
-	if r.seq == p.last {
+	if r.seq == p.last || p.m.gate.Load() == r.seq {
+		p.last = r.seq
 		p.m.probeLosses.Add(1)
 		return 0, false
 	}

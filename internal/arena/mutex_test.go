@@ -370,7 +370,8 @@ func TestRecyclingBoundsPool(t *testing.T) {
 	}
 }
 
-// TestTryLock: a held mutex rejects TryLock; a free one grants it.
+// TestTryLock: a held mutex rejects TryLock from the gate word alone,
+// without a step on the round's registers; a free one grants it.
 func TestTryLock(t *testing.T) {
 	m := newTestMutex(t, 2)
 	p0, p1 := proc(m, 0), proc(m, 1)
@@ -378,15 +379,25 @@ func TestTryLock(t *testing.T) {
 	if !ok {
 		t.Fatal("TryLock on a free mutex failed")
 	}
+	steps := p1.Steps()
 	if _, ok := p1.TryLock(); ok {
 		t.Fatal("TryLock succeeded while the mutex was held")
 	}
+	if got := p1.Steps(); got != steps {
+		t.Errorf("refused probe took %d steps, want 0", got-steps)
+	}
+	if got := m.Stats().ProbeLosses; got != 1 {
+		t.Errorf("probe losses = %d, want 1", got)
+	}
 	unlock(t, p0, tok0)
-	// p1 already burned its one TAS on the old round, but the new round
-	// installed by Unlock is fair game.
+	// The refusal counts as p1's one attempt at the old round, but the
+	// new round installed by Unlock is fair game.
 	tok1, ok := p1.TryLock()
 	if !ok {
 		t.Fatal("TryLock on a released mutex failed")
+	}
+	if tok1 != tok0+1 {
+		t.Errorf("token after handover = %d, want %d", tok1, tok0+1)
 	}
 	unlock(t, p1, tok1)
 }

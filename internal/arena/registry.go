@@ -378,7 +378,9 @@ func (e *Election) Winner() (id int, epoch uint64, decided bool) {
 // an earlier connection that owned the same slot id, in the service
 // case — is a loser by contract: re-running the TAS with the same
 // process id would void the one-winner guarantee. Callers that need
-// repeat-query semantics cache their first answer per epoch.
+// repeat-query semantics cache their first answer per epoch. A proc
+// arriving after the epoch's leader is recorded follows it without a
+// step on the slot.
 func (e *Election) Participate(h *concurrent.Handle, id int) (leader bool, epoch uint64) {
 	for {
 		es := e.cur.Load()
@@ -399,6 +401,12 @@ func (e *Election) Participate(h *concurrent.Handle, id int) (leader bool, epoch
 			if w.CompareAndSwap(old, old|bit) {
 				break
 			}
+		}
+		if es.winner.Load() != 0 {
+			// The epoch's leader is recorded (winner is written only
+			// after a TAS returned 0), so a TAS here could only lose.
+			e.leaveEpoch(es)
+			return false, es.epoch
 		}
 		// The doorway's concrete entry; an abort on h would resolve as a
 		// loss (v == 1).

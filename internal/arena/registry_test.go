@@ -94,9 +94,10 @@ func TestRegistryNamedLocksShareArena(t *testing.T) {
 	}
 }
 
-// TestRegistryElectionEpochs: within an epoch exactly one leader; Reset
-// bumps the epoch, recycles the old slot, and everyone — including the
-// old leader — may run again in the fresh epoch.
+// TestRegistryElectionEpochs: within an epoch exactly one leader, and
+// participants after it follow from the recorded winner without a step;
+// Reset bumps the epoch, recycles the old slot, and everyone — including
+// the old leader — may run again in the fresh epoch.
 func TestRegistryElectionEpochs(t *testing.T) {
 	a := newTestArena(t, Config{N: 4, Shards: 1, Prealloc: 1})
 	r := NewRegistry(a, RegistryConfig{Shards: 2})
@@ -109,9 +110,13 @@ func TestRegistryElectionEpochs(t *testing.T) {
 	}
 	winners := 0
 	for id := 0; id < 4; id++ {
-		leader, epoch := e.Participate(concurrent.NewHandle(id, int64(id)+1), id)
+		h := concurrent.NewHandle(id, int64(id)+1)
+		leader, epoch := e.Participate(h, id)
 		if epoch != 1 {
 			t.Fatalf("participation landed in epoch %d, want 1", epoch)
+		}
+		if winners > 0 && h.Steps() != 0 {
+			t.Errorf("proc %d took %d steps after the leader was recorded, want 0", id, h.Steps())
 		}
 		if leader {
 			winners++
@@ -142,9 +147,13 @@ func TestRegistryElectionEpochs(t *testing.T) {
 	// Fresh epoch: everyone participates again, exactly one leader.
 	winners = 0
 	for id := 0; id < 4; id++ {
-		leader, epoch := e.Participate(concurrent.NewHandle(id, int64(id)+11), id)
+		h := concurrent.NewHandle(id, int64(id)+11)
+		leader, epoch := e.Participate(h, id)
 		if epoch != 2 {
 			t.Fatalf("participation landed in epoch %d, want 2", epoch)
+		}
+		if winners == 0 && h.Steps() == 0 {
+			t.Errorf("proc %d took no step before epoch 2 had a leader", id)
 		}
 		if leader {
 			winners++
