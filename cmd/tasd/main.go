@@ -49,7 +49,7 @@ func main() {
 		maxClients   = flag.Int("max-clients", 64, "maximum simultaneous clients (process slots)")
 		algo         = flag.String("algo", "combined", "TAS algorithm: combined, logstar, sifting, adaptive-sifting, ratrace, ratrace-original, agtv")
 		shards       = flag.Int("shards", 0, "arena shards (0 = default)")
-		prealloc     = flag.Int("prealloc", 0, "preallocated slots per shard (0 = default)")
+		prealloc     = flag.Int("prealloc", 0, "preallocated slots per shard (0 = 1)")
 		seed         = flag.Int64("seed", 0, "deterministic coin seed (0 = per-run random)")
 		leaseSweep   = flag.Duration("lease-sweep", 5*time.Millisecond, "lease sweeper interval — a lease is enforced within TTL + this")
 		maxIdle      = flag.Duration("max-idle", 0, "evict named locks idle this long, checked every max-idle (0 = never evict)")

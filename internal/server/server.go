@@ -104,7 +104,9 @@ type Config struct {
 	// the bound receive an error frame and are closed.
 	MaxClients int
 	// Algorithm, Seed, ArenaShards, Prealloc configure the backing
-	// arena exactly as randtas.ArenaOptions does.
+	// arena exactly as randtas.ArenaOptions does, except that Prealloc
+	// defaults to 1 slot per shard: the arena grows on demand, and a
+	// server's first names need no more.
 	Algorithm   randtas.Algorithm
 	Seed        int64
 	ArenaShards int
@@ -259,6 +261,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxClients < 1 {
 		return nil, fmt.Errorf("server: MaxClients must be ≥ 1, got %d", cfg.MaxClients)
+	}
+	if cfg.Prealloc == 0 {
+		cfg.Prealloc = 1
 	}
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = wire.DefaultMaxFrame

@@ -83,6 +83,19 @@ func TestHelloNegotiation(t *testing.T) {
 	}
 }
 
+// TestDefaultPrealloc: a default server preallocates one arena slot per
+// shard, not the arena library's default.
+func TestDefaultPrealloc(t *testing.T) {
+	_, addr := start(t, server.Config{})
+	st, err := dial(t, addr).Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Arena.Slots != 4 {
+		t.Fatalf("arena slots at start = %d, want 4 (one per default shard)", st.Arena.Slots)
+	}
+}
+
 // TestAcquireRelease: the basic lifecycle with fencing tokens — grants
 // return strictly monotone tokens, releases verify them, and lock state
 // is visible to a second client via TryAcquire.
