@@ -420,20 +420,6 @@ func (e *Election) Participate(h *concurrent.Handle, id int) (leader bool, epoch
 	}
 }
 
-// Read reports whether the current epoch is decided without
-// participating (any number of calls, any proc).
-func (e *Election) Read(h *concurrent.Handle) (decided bool, epoch uint64) {
-	es := e.cur.Load()
-	es.refs.Add(1)
-	if es.closed.Load() {
-		e.leaveEpoch(es)
-		return e.Read(h)
-	}
-	d := es.slot.Obj.Read(h)
-	e.leaveEpoch(es)
-	return d == 1, es.epoch
-}
-
 // Reset retires the given epoch and installs the next: the old slot
 // recycles to the arena once stragglers drain, the fresh slot starts
 // pristine (everyone may participate again), and the returned epoch is

@@ -110,9 +110,11 @@ func (t *TAS) TASFastAbortable(h *concurrent.Handle) (v int, aborted bool) {
 	return 1, false
 }
 
-// Read returns the current value of the bit without setting it (one step).
-// It is linearizable alongside TAS: the bit is observably 1 only after
-// some loser finished, which implies the winner's TAS already happened.
+// Read returns the done register's value without setting it (one step):
+// 1 once some loser has finished, which implies the winner's TAS already
+// happened. A lone winner writes no register, so after it alone Read
+// still returns 0; a caller that needs Read linearizable alongside TAS
+// must record the win itself.
 func (t *TAS) Read(h shm.Handle) int {
 	if h.Read(t.done) == 1 {
 		return 1

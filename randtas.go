@@ -319,6 +319,9 @@ type TASObject struct {
 	opts  Options
 	space *concurrent.Space
 	obj   *tas.TAS
+	// won is set by the winner's TAS before it returns: a lone winner
+	// writes no register, so Read needs it to report the win.
+	won atomic.Bool
 }
 
 // NewTAS builds a test-and-set object.
@@ -342,13 +345,13 @@ func (t *TASObject) Proc(id int) *TASProc {
 	if id < 0 || id >= t.opts.N {
 		panic(fmt.Sprintf("randtas: process id %d out of range [0,%d)", id, t.opts.N))
 	}
-	return &TASProc{h: newHandle(id, t.opts), obj: t.obj}
+	return &TASProc{h: newHandle(id, t.opts), t: t}
 }
 
 // TASProc is one process's access point to a TASObject.
 type TASProc struct {
 	h    *concurrent.Handle
-	obj  *tas.TAS
+	t    *TASObject
 	used bool
 }
 
@@ -360,12 +363,23 @@ func (p *TASProc) TAS() int {
 		panic("randtas: TAS called twice on one TASProc (objects are one-shot)")
 	}
 	p.used = true
-	return p.obj.TAS(p.h)
+	v := p.t.obj.TAS(p.h)
+	if v == 0 {
+		p.t.won.Store(true)
+	}
+	return v
 }
 
-// Read returns the current bit without setting it. It may be called any
-// number of times.
-func (p *TASProc) Read() int { return p.obj.Read(p.h) }
+// Read returns the current bit without setting it, in one shared-memory
+// step. It may be called any number of times and is linearizable
+// alongside TAS: it returns 1 once any TAS call, the winner's included,
+// has returned.
+func (p *TASProc) Read() int {
+	if p.t.obj.Read(p.h) == 1 || p.t.won.Load() {
+		return 1
+	}
+	return 0
+}
 
 // Steps reports the shared-memory steps this process has taken.
 func (p *TASProc) Steps() int { return p.h.Steps() }

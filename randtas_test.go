@@ -121,7 +121,8 @@ func TestSpaceFootprints(t *testing.T) {
 	}
 }
 
-// TestReadSemantics: Read flips to 1 after losers complete.
+// TestReadSemantics: Read flips to 1 once a TAS completes — after the
+// losers, or after a lone winner.
 func TestReadSemantics(t *testing.T) {
 	obj, err := NewTAS(Options{N: 4, Seed: 9})
 	if err != nil {
@@ -147,6 +148,24 @@ func TestReadSemantics(t *testing.T) {
 	// Three completed TAS calls: at least two losers have written done.
 	if got := obj.Proc(3).Read(); got != 1 {
 		t.Fatalf("Read after TAS completions = %d, want 1", got)
+	}
+
+	// A lone winner writes no register, yet its completed TAS must show.
+	for _, algo := range allAlgorithms {
+		obj, err := NewTAS(Options{N: 2, Algorithm: algo, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := obj.Proc(0).TAS(); got != 0 {
+			t.Fatalf("%v: solo TAS = %d, want 0", algo, got)
+		}
+		p := obj.Proc(1)
+		if got := p.Read(); got != 1 {
+			t.Errorf("%v: Read after a lone winner = %d, want 1", algo, got)
+		}
+		if p.Steps() != 1 {
+			t.Errorf("%v: Read took %d steps, want 1", algo, p.Steps())
+		}
 	}
 }
 
