@@ -105,8 +105,8 @@ type Config struct {
 	MaxClients int
 	// Algorithm, Seed, ArenaShards, Prealloc configure the backing
 	// arena exactly as randtas.ArenaOptions does, except that Prealloc
-	// defaults to 1 slot per shard: the arena grows on demand, and a
-	// server's first names need no more.
+	// 0 means 1 slot per shard, not the arena's 4: slots past it are
+	// built on first demand and then recycle.
 	Algorithm   randtas.Algorithm
 	Seed        int64
 	ArenaShards int
