@@ -22,13 +22,12 @@
 //     a recycled slot can never be confused with its earlier incarnation.
 //
 // Every slot fronts its election with the constant-step uncontended
-// doorway (tas.FastPath), and the arena's callers step through the
-// doorway's concrete entry, TAS.TASFastAbortable — the only concrete
-// step code in the repository. Every acquisition runs the doorway, and
-// it is only a handful of steps, so its devirtualized registers pay off;
-// the factory's elector behind it runs only under contention and is
-// called through its portable Elect. The doorway is also what makes
-// every slot abortable.
+// doorway (tas.FastPath), and the arena's callers enter the slot through
+// the doorway's abortable entry, TAS.TASAbortable. Every acquisition
+// runs the doorway, a handful of steps; the factory's elector behind it
+// runs only under contention and always to completion. The doorway is
+// what makes every slot abortable, and like every elector it is written
+// once, so the simulator runs the same abort protocol the arena does.
 //
 // The Mutex in this package chains arena slots into a long-lived lock;
 // the public surface is re-exported through the root randtas package.

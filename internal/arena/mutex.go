@@ -456,9 +456,9 @@ func (p *MutexProc) tryRound(r *round, blocking bool) (bool, bool) {
 		return false, false
 	}
 	p.last = r.seq
-	// The doorway's concrete entry: step-identical to the portable TAS
-	// when no abort lands.
-	v, aborted := r.slot.Obj.TASFastAbortable(p.h)
+	// The doorway's abortable entry: step-identical to TAS when no
+	// abort lands.
+	v, aborted := r.slot.Obj.TASAbortable(p.h)
 	if v == 0 {
 		// Claim the gate. The CAS can fail because the mutex was retired
 		// while our TAS was in flight, because an abort recovery of this

@@ -408,9 +408,9 @@ func (e *Election) Participate(h *concurrent.Handle, id int) (leader bool, epoch
 			e.leaveEpoch(es)
 			return false, es.epoch
 		}
-		// The doorway's concrete entry; an abort on h would resolve as a
-		// loss (v == 1).
-		v, _ := es.slot.Obj.TASFastAbortable(h)
+		// The doorway's abortable entry; an abort on h would resolve as
+		// a loss (v == 1).
+		v, _ := es.slot.Obj.TASAbortable(h)
 		won := v == 0
 		if won {
 			es.winner.Store(int64(id) + 1)

@@ -21,18 +21,21 @@
 //
 // The interleaving needs two logical threads of one process, each blocked
 // on its own next shared-memory operation. The package implements this
-// with fibers: each constituent algorithm runs in a goroutine against a
-// relay implementation of shm.Handle; its Read/Write calls are forwarded
-// to the real process handle by the combiner, one per side alternately, so
-// step accounting (and the simulator's adversary views) remain exact.
-// Local coins come from a per-fiber generator seeded from the process's
-// own coins before the fibers start, preserving determinism in the
-// simulator.
+// with fibers: each constituent algorithm runs in a goroutine against its
+// own *concurrent.Handle, the repository's one handle type, whose
+// scheduler is the fiber. Its Read/Write calls are relayed over channels
+// to the combiner, which forwards them to the real process handle, one
+// per side alternately, so step accounting (and the simulator's adversary
+// views) remain exact. Local coins come from the fiber handle's own
+// splitmix64 stream, seeded from the process's coins before the fibers
+// start, preserving determinism in the simulator. A fiber's goroutine
+// runs near the end of its initial stack, so the relay's frame is kept
+// small (see fiberHandle.Step).
 package combiner
 
 import (
+	"repro/internal/concurrent"
 	"repro/internal/ratrace"
-	"repro/internal/rng"
 	"repro/internal/shm"
 	"repro/internal/twoproc"
 )
@@ -164,85 +167,72 @@ type fiberOp struct {
 	resp    chan shm.Value
 }
 
+// fiberEvent is what a fiber sends the combiner: its next op, or its
+// end.
 type fiberEvent struct {
 	op     *fiberOp
 	done   bool
 	result bool // elect outcome when done and not killed
-	killed bool
 }
 
-type fiber struct {
+// fiberHandle is a fiber's scheduled handle: its steps relay to the
+// combiner over ops, and its coins come from its own splitmix64 stream.
+// The handle is embedded, so one allocation holds it and the relay
+// state.
+type fiberHandle struct {
+	concurrent.Handle
 	ops  chan fiberEvent
 	kill chan struct{}
+	op   fiberOp // reused; resp channel allocated once
 }
 
-// fiberHandle relays shared-memory steps to the combiner and answers local
-// coins from its own deterministic stream (an embedded splitmix64: two
-// fibers per Elect used to mean two heap-allocated math/rand states per
-// call on the production hot path).
-type fiberHandle struct {
-	id  int
-	f   *fiber
-	rng rng.SplitMix64
-	op  fiberOp // reused; resp channel allocated once
-}
-
-var _ shm.Handle = (*fiberHandle)(nil)
-
-func (fh *fiberHandle) ID() int { return fh.id }
-
-func (fh *fiberHandle) Read(r shm.Register) shm.Value {
-	fh.op = fiberOp{isWrite: false, reg: r, resp: fh.op.resp}
-	return fh.relay()
-}
-
-func (fh *fiberHandle) Write(r shm.Register, v shm.Value) {
-	fh.op = fiberOp{isWrite: true, reg: r, val: v, resp: fh.op.resp}
-	fh.relay()
-}
-
-func (fh *fiberHandle) relay() shm.Value {
+// Step implements concurrent.Scheduler: it hands the step to the
+// combiner and waits for the value.
+//
+// A fiber's goroutine runs close to the end of its initial stack, and
+// this frame is the deepest on the fiber path (body → elector →
+// Handle.Read/Write → Step). Assigning op's fields in place, rather
+// than building a fiberOp literal, keeps the frame small enough that a
+// new fiber does not grow its stack: a copied stack costs more than the
+// steps themselves.
+func (fh *fiberHandle) Step(r shm.Register, write bool, v shm.Value) shm.Value {
+	fh.op.isWrite, fh.op.reg, fh.op.val = write, r, v
 	select {
-	case fh.f.ops <- fiberEvent{op: &fh.op}:
-	case <-fh.f.kill:
+	case fh.ops <- fiberEvent{op: &fh.op}:
+	case <-fh.kill:
 		panic(fiberKilled{})
 	}
 	select {
 	case v := <-fh.op.resp:
 		return v
-	case <-fh.f.kill:
+	case <-fh.kill:
 		panic(fiberKilled{})
 	}
 }
 
-func (fh *fiberHandle) Intn(n int) int { return fh.rng.Intn(n) }
-
-func (fh *fiberHandle) Coin(p float64) bool { return fh.rng.Coin(p) }
-
-// startFiber launches run against a relay handle.
-func startFiber(id int, seed int64, run func(h shm.Handle) bool) *fiber {
-	f := &fiber{ops: make(chan fiberEvent), kill: make(chan struct{})}
-	fh := &fiberHandle{id: id, f: f, rng: rng.New(uint64(seed))}
-	fh.op.resp = make(chan shm.Value)
+// startFiber launches run against a fiber handle.
+func startFiber(id int, seed int64, run func(h shm.Handle) bool) *fiberHandle {
+	fh := &fiberHandle{ops: make(chan fiberEvent), kill: make(chan struct{}), op: fiberOp{resp: make(chan shm.Value)}}
+	fh.Bind(id, fh, uint64(seed), nil)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(fiberKilled); ok {
-					f.ops <- fiberEvent{done: true, killed: true}
+					fh.ops <- fiberEvent{done: true}
 					return
 				}
 				panic(r)
 			}
 		}()
-		res := run(fh)
-		f.ops <- fiberEvent{done: true, result: res}
+		res := run(&fh.Handle)
+		fh.ops <- fiberEvent{done: true, result: res}
 	}()
-	return f
+	return fh
 }
 
 // killFiber aborts fiber f, if its current event *ev is still an op, and
 // waits for its goroutine to unwind, so no goroutines outlive Elect.
-func killFiber(f *fiber, ev *fiberEvent) {
+func killFiber(f *fiberHandle, ev *fiberEvent) {
 	if ev.done {
 		return
 	}

@@ -1,6 +1,7 @@
-// Abort-protocol tests for the devirtualized two-process election on
-// the real backend: the departure protocol must never mint a second
-// winner, whatever interleaving an abort lands in.
+// Abort-protocol tests for the two-process election's abortable entry
+// raced on the real backend: the departure protocol must never mint a
+// second winner, whatever interleaving an abort lands in. The twoproc
+// package checks the same protocol under every n = 2 schedule.
 package concurrent_test
 
 import (
@@ -19,7 +20,7 @@ func TestTwoProcAbortBeforeEntry(t *testing.T) {
 	le := twoproc.New(s)
 	h0 := concurrent.NewHandle(0, 1)
 	h0.Abort()
-	won, aborted := le.ElectFastAbortable(h0, 0)
+	won, aborted := le.ElectAbortable(h0, 0)
 	if won || !aborted {
 		t.Fatalf("pre-aborted elect = (%v, %v), want (false, true)", won, aborted)
 	}
@@ -27,17 +28,16 @@ func TestTwoProcAbortBeforeEntry(t *testing.T) {
 		t.Fatalf("pre-entry abort cost %d steps, want 0", h0.Steps())
 	}
 	h1 := concurrent.NewHandle(1, 2)
-	won, aborted = le.ElectFastAbortable(h1, 1)
+	won, aborted = le.ElectAbortable(h1, 1)
 	if !won || aborted {
 		t.Fatalf("solo elect after peer aborted = (%v, %v), want (true, false)", won, aborted)
 	}
 }
 
 // TestTwoProcAbortFreeIdentical: with the flag never set, both slots
-// running the abortable concrete loop keep the exactly-one-winner
-// property and neither reports an abort — it is the plain protocol on
-// the same registers. TestTwoProcFastMatchesPortable pairs it with the
-// portable Elect.
+// running the abortable entry keep the exactly-one-winner property and
+// neither reports an abort — it is the plain protocol on the same
+// registers.
 func TestTwoProcAbortFreeIdentical(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		s := concurrent.NewSpace()
@@ -49,7 +49,7 @@ func TestTwoProcAbortFreeIdentical(t *testing.T) {
 			go func(id int) {
 				defer wg.Done()
 				h := concurrent.NewHandle(id, int64(trial*2+id)+1)
-				won[id], aborted[id] = le.ElectFastAbortable(h, id)
+				won[id], aborted[id] = le.ElectAbortable(h, id)
 			}(i)
 		}
 		wg.Wait()
@@ -85,7 +85,7 @@ func TestTwoProcAbortWinRace(t *testing.T) {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
-				won[id], aborted[id] = le.ElectFastAbortable(handles[id], id)
+				won[id], aborted[id] = le.ElectAbortable(handles[id], id)
 			}(i)
 		}
 		// Vary where the abort lands relative to the race: immediately,
@@ -128,10 +128,10 @@ func TestTwoProcAbortedDeparterUnblocksPeer(t *testing.T) {
 		go func() {
 			defer close(done)
 			// The peer runs with no abort of its own; it must terminate.
-			le.ElectFastAbortable(h1, 1)
+			le.ElectAbortable(h1, 1)
 		}()
 		h0.Abort()
-		if won, aborted := le.ElectFastAbortable(h0, 0); won || !aborted {
+		if won, aborted := le.ElectAbortable(h0, 0); won || !aborted {
 			t.Fatalf("trial %d: aborted slot = (%v, %v)", trial, won, aborted)
 		}
 		<-done // hangs here if departure failed to unblock the peer

@@ -1,6 +1,7 @@
-// Package concurrent is the production backend of the shm abstraction:
-// registers are real sync/atomic words and handles are used by actual
-// goroutines. Every algorithm in this repository runs unchanged on it.
+// Package concurrent is the production backend of the shared-memory
+// model and the home of its one handle type: registers are real
+// sync/atomic words stepped on by actual goroutines. Every algorithm in
+// this repository runs unchanged on it.
 //
 // Unlike the simulator there is no adversary: the Go runtime schedules
 // goroutines. The paper's expected step bounds still apply in the sense
@@ -8,25 +9,27 @@
 // the Section 4 motivation for combining algorithms so that the adaptive
 // bound always holds.
 //
-// # The concrete surface
+// # One handle
 //
-// The paper's step-complexity model charges one unit per Read or Write
-// and nothing else; real hardware charges for everything around the
-// atomic op too. This backend therefore keeps two congruent surfaces:
+// Handle is the only execution context in the repository. A production
+// handle (NewHandle) steps straight on the atomic registers. A
+// scheduled handle (Bind) hands every Read and Write to its Scheduler
+// instead: each simulated process (internal/sim) and each combiner
+// fiber (internal/combiner) is one, with the process or the fiber as its
+// scheduler. Either kind draws its coins from its own splitmix64 stream
+// and polls the same abort flag, so every elector, the abortable
+// doorway included, is written once against *Handle and its steps are
+// static calls on every backend. The scheduler is nil in production,
+// where it costs one never-taken branch per step; a scheduled step pays
+// one interface call, to its scheduler.
 //
-//   - the portable shm interfaces (Read/Write on shm.Register), which
-//     every algorithm is written against; and
-//   - a concrete, devirtualized surface (ReadReg/WriteReg on *Register)
-//     with no interface dispatch and no per-step type assertions.
-//
-// Both surfaces perform the same atomic operations and the same step
-// accounting, so an execution is indistinguishable across them. Only
-// the uncontended doorway in front of every arena slot (tas.FastPath:
-// a splitter and a two-process final, plus the TAS done register) steps
-// through the concrete surface. Every acquisition runs it, and it is
-// only a handful of steps, so dispatch is a large share of its cost; the
-// electors behind it run under contention only and stay portable. This
-// package defines registers and handles, not election protocols.
+// This package is the leaf of the shared-memory layer. It defines
+// Value, the AnyRegister and AnySpace interfaces that every backend's
+// registers and spaces satisfy, and Scheduler; internal/shm re-exports
+// them under the names the algorithms and the benchmark module use.
+// ReadReg and WriteReg step on a concrete *Register with no type
+// assertion; Read and Write route through them. This package defines
+// registers and handles, not election protocols.
 //
 // Registers are carved out of contiguous cache-line-padded banks owned
 // by their Space: one allocation per bank instead of one per register,
@@ -74,8 +77,32 @@ import (
 	"unsafe"
 
 	"repro/internal/rng"
-	"repro/internal/shm"
 )
+
+// Value is the contents of a register. The paper's algorithms need only
+// small integers; a 64-bit word mirrors real hardware registers.
+type Value = int64
+
+// AnyRegister is an opaque reference to one atomic register of any
+// backend: a *Register here, the simulator's own register type there. A
+// register may only be used with handles of its own backend: a
+// production handle panics on a simulated register, and a simulated
+// process on a register of another System.
+type AnyRegister interface {
+	// RegisterID returns a backend-unique identifier, used by the
+	// simulator for space accounting and adversary views.
+	RegisterID() int
+}
+
+// AnySpace allocates registers on any backend. Algorithm constructors
+// take one, so that a single implementation runs on both *Space and the
+// simulator's System. Registers are allocated during object
+// construction only: register footprints are fixed up front, matching
+// the paper's space-complexity accounting.
+type AnySpace interface {
+	// NewRegister allocates a fresh register holding init.
+	NewRegister(init Value) AnyRegister
+}
 
 // cacheLine is the coherence granularity the register padding targets.
 const cacheLine = 64
@@ -104,7 +131,7 @@ const noOwner int32 = -1
 //taslint:cacheline
 type Register struct {
 	v       atomic.Int64
-	init    shm.Value
+	init    Value
 	bankMap *atomic.Uint64 // the owning bank's dirty bitmap; nil = untracked
 	id      int32
 	dirty   atomic.Int32 // set on first Write since the last Reset
@@ -122,7 +149,7 @@ type Register struct {
 // Compile-time proof that a Register occupies exactly one cache line.
 var _ [cacheLine]byte = [unsafe.Sizeof(Register{})]byte{}
 
-// RegisterID implements shm.Register.
+// RegisterID implements AnyRegister.
 func (r *Register) RegisterID() int { return int(r.id) }
 
 // bank is one contiguous cache-line-padded block of registers plus the
@@ -162,12 +189,13 @@ type Space struct {
 // Config parameterizes a Space beyond its register contents.
 type Config struct {
 	// CountRMRs arms remote-memory-reference accounting on every
-	// register allocated from this space: each ReadReg/WriteReg (and
-	// the portable Read/Write, which route through them) charges the
-	// acting Handle's CC- and DSM-model RMR counters per the charging
-	// rules in the package comment, readable via Handle.CCRMRs and
-	// Handle.DSMRMRs. Off (the zero value), the accounting state is
-	// never consulted and the step loops keep their production cost.
+	// register allocated from this space: each ReadReg/WriteReg (and a
+	// production handle's Read/Write, which route through them)
+	// charges the acting Handle's CC- and DSM-model RMR counters per
+	// the charging rules in the package comment, readable via
+	// Handle.CCRMRs and Handle.DSMRMRs. Off (the zero value), the
+	// accounting state is never consulted and the step loops keep
+	// their production cost.
 	CountRMRs bool
 }
 
@@ -179,7 +207,7 @@ type Config struct {
 // footprint.
 const smallSpaceThreshold = 16
 
-var _ shm.Space = (*Space)(nil)
+var _ AnySpace = (*Space)(nil)
 
 // NewSpace returns an empty register space with the default (zero)
 // Config: no RMR accounting.
@@ -192,15 +220,15 @@ func NewSpaceConfig(cfg Config) *Space { return &Space{cfg: cfg} }
 // (Config.CountRMRs).
 func (s *Space) CountsRMRs() bool { return s.cfg.CountRMRs }
 
-// NewRegister implements shm.Space. It panics if the space has been
+// NewRegister implements AnySpace. It panics if the space has been
 // sealed: register footprints are fixed up front (the paper's space
 // accounting), and with the bank layout a late allocation would race
 // with Reset's bank sweep.
-func (s *Space) NewRegister(init shm.Value) shm.Register {
+func (s *Space) NewRegister(init Value) AnyRegister {
 	return s.alloc(init)
 }
 
-func (s *Space) alloc(init shm.Value) *Register {
+func (s *Space) alloc(init Value) *Register {
 	if s.sealed {
 		panic("concurrent: NewRegister on a sealed Space — register footprints are fixed before goroutines start")
 	}
@@ -314,14 +342,19 @@ func (s *Space) resetAccounting() {
 	}
 }
 
-// Handle is the per-goroutine execution context. Each Handle must be used
-// by a single goroutine; create one per participating process. The coin
+// Handle is the execution context of one process: the only handle type
+// in the repository (see the package comment). A Handle is confined to
+// one process (one goroutine, one simulated process or one combiner
+// fiber); it is not safe for concurrent use, except for Abort. The coin
 // stream is an embedded splitmix64 generator: no allocation at handle
 // creation and no dispatch per flip.
 type Handle struct {
 	id    int
 	steps int
+	sched Scheduler // nil in production: steps go to the atomic registers
 	rng   rng.SplitMix64
+	coins int
+	tape  *CoinTape // nil unless coin outcomes are overridden
 
 	// RMR accounting (live only against Config.CountRMRs spaces): the
 	// two model counters plus the CC cache — the write version of each
@@ -333,12 +366,27 @@ type Handle struct {
 	// aborted is the cancellation flag consulted by abortable step
 	// loops. Unlike every other Handle field it may be written from
 	// any goroutine: Abort is the one crossing point through which an
-	// external canceller (a context callback, a server drain sweep)
-	// reaches a proc spinning inside an election.
+	// external canceller (a context callback, a server drain sweep, a
+	// simulator's step hook) reaches a proc spinning inside an election.
 	aborted atomic.Bool
 }
 
-var _ shm.Handle = (*Handle)(nil)
+// Scheduler takes the shared-memory steps of a scheduled handle (see
+// Bind). The simulator parks the process until its adversary grants the
+// step; a combiner fiber relays the step to its process's handle.
+type Scheduler interface {
+	// Step performs one step: a write of v to r if write is set,
+	// otherwise a read of r, whose value it returns.
+	Step(r AnyRegister, write bool, v Value) Value
+}
+
+// CoinTape overrides a handle's local coin flips; a nil function keeps
+// the handle's own stream. Exhaustive checkers enumerate coin outcomes
+// through it (sim.Config.CoinFunc and IntnFunc).
+type CoinTape struct {
+	Coin func(pid int, p float64) bool
+	Intn func(pid, n int) int
+}
 
 // NewHandle creates the context for process id with a deterministic coin
 // stream derived from seed. Distinct processes must use distinct ids;
@@ -348,7 +396,18 @@ func NewHandle(id int, seed int64) *Handle {
 	return &Handle{id: id, rng: rng.New(uint64(seed) ^ uint64(id)*0x632be59bd9b4e019)}
 }
 
-// ID implements shm.Handle.
+// Bind makes h, in place, the scheduled handle of process id: every
+// Read and Write goes to s, coins come from the splitmix64 stream rooted
+// at stream unless tape overrides them, and the counters and the abort
+// flag start from zero. Rebinding rewinds the handle for another
+// execution. Steps are counted by the scheduler, not by h.
+func (h *Handle) Bind(id int, s Scheduler, stream uint64, tape *CoinTape) {
+	h.id, h.steps, h.sched, h.rng, h.coins, h.tape = id, 0, s, rng.New(stream), 0, tape
+	h.ccRMRs, h.dsmRMRs = 0, 0
+	h.aborted.Store(false)
+}
+
+// ID returns the process identifier.
 func (h *Handle) ID() int { return h.id }
 
 // ReadReg is the devirtualized Read: one atomic load on a concrete
@@ -356,7 +415,7 @@ func (h *Handle) ID() int { return h.id }
 // accounting space the read is first charged per the CC/DSM rules; the
 // guard is one branch on a flag in the line the load is about to pull
 // anyway, so non-accounting spaces pay nothing.
-func (h *Handle) ReadReg(r *Register) shm.Value {
+func (h *Handle) ReadReg(r *Register) Value {
 	h.steps++
 	if r.acct {
 		h.chargeRead(r)
@@ -391,7 +450,7 @@ func (h *Handle) chargeRead(r *Register) {
 // bank map is touched at most once per register per round (and never for
 // untracked small spaces), so the tracking adds no coherence traffic on
 // the hot path. One step.
-func (h *Handle) WriteReg(r *Register, v shm.Value) {
+func (h *Handle) WriteReg(r *Register, v Value) {
 	h.steps++
 	if r.acct {
 		h.chargeWrite(r)
@@ -450,24 +509,53 @@ func (h *Handle) setCached(id int32, ver uint32) {
 	h.cache[id] = ver
 }
 
-// Read implements shm.Handle with an atomic load.
-func (h *Handle) Read(r shm.Register) shm.Value {
+// Read atomically reads r: one shared-memory step, taken by the
+// scheduler of a scheduled handle.
+func (h *Handle) Read(r AnyRegister) Value {
+	if h.sched != nil {
+		return h.sched.Step(r, false, 0)
+	}
 	return h.ReadReg(mustRegister(r))
 }
 
-// Write implements shm.Handle with an atomic store.
-func (h *Handle) Write(r shm.Register, v shm.Value) {
+// Write atomically writes v to r: one shared-memory step, taken by the
+// scheduler of a scheduled handle.
+func (h *Handle) Write(r AnyRegister, v Value) {
+	if h.sched != nil {
+		h.sched.Step(r, true, v)
+		return
+	}
 	h.WriteReg(mustRegister(r), v)
 }
 
-// Intn implements shm.Handle. n must be positive.
-func (h *Handle) Intn(n int) int { return h.rng.Intn(n) }
+// Intn returns a uniform integer in [0, n): a local coin flip, not a
+// shared-memory step. n must be positive.
+func (h *Handle) Intn(n int) int {
+	h.coins++
+	if h.tape != nil && h.tape.Intn != nil {
+		return h.tape.Intn(h.id, n)
+	}
+	return h.rng.Intn(n)
+}
 
-// Coin implements shm.Handle by a single integer threshold comparison.
-func (h *Handle) Coin(p float64) bool { return h.rng.Coin(p) }
+// Coin returns true with probability p (clamped to [0, 1]) by a single
+// integer threshold comparison: a local coin flip, not a shared-memory
+// step.
+func (h *Handle) Coin(p float64) bool {
+	h.coins++
+	if h.tape != nil && h.tape.Coin != nil {
+		return h.tape.Coin(h.id, p)
+	}
+	return h.rng.Coin(p)
+}
 
-// Steps returns the number of shared-memory operations this handle has
-// performed — the same step measure the simulator counts.
+// Coins returns the number of local coin flips (Intn and Coin calls)
+// this handle has made.
+func (h *Handle) Coins() int { return h.coins }
+
+// Steps returns the number of shared-memory operations this production
+// handle has performed — the same step measure the simulator counts. A
+// scheduled handle's steps are counted by its scheduler.
 func (h *Handle) Steps() int { return h.steps }
 
 // CCRMRs returns the remote memory references this handle has been
@@ -486,7 +574,7 @@ func (h *Handle) DSMRMRs() int { return h.dsmRMRs }
 func (h *Handle) Abort() { h.aborted.Store(true) }
 
 // Aborting reports whether an abort has been requested and not cleared.
-// The doorway's step loops poll it between shared-memory steps; the
+// The abortable doorway polls it between shared-memory steps; the
 // check is a local atomic load, so it adds no step in the paper's model
 // and no coherence traffic unless an abort actually lands.
 func (h *Handle) Aborting() bool { return h.aborted.Load() }
@@ -497,7 +585,7 @@ func (h *Handle) Aborting() bool { return h.aborted.Load() }
 // clear before re-entering an abortable loop).
 func (h *Handle) ClearAbort() { h.aborted.Store(false) }
 
-func mustRegister(r shm.Register) *Register {
+func mustRegister(r AnyRegister) *Register {
 	reg, ok := r.(*Register)
 	if !ok {
 		panic("concurrent: register belongs to a different backend")

@@ -1,6 +1,6 @@
 // Black-box tests of the concurrent backend. They live in an external
-// test package because the doorway's building blocks (splitter, twoproc,
-// tas) import concurrent for their concrete step code.
+// test package because every elector imports concurrent, through shm's
+// aliases.
 package concurrent_test
 
 import (
@@ -65,54 +65,6 @@ func TestTwoProcLEOnRealBackend(t *testing.T) {
 				defer wg.Done()
 				h := concurrent.NewHandle(id, int64(trial*2+id)+1)
 				won[id] = le.Elect(h, id)
-			}(i)
-		}
-		wg.Wait()
-		if won[0] == won[1] {
-			t.Fatalf("trial %d: outcomes %v", trial, won)
-		}
-	}
-}
-
-// TestTwoProcFastMatchesPortable: the concrete ElectFastAbortable, with
-// no abort set, is the portable Elect on the same registers. Run one
-// slot after the other, each side sees the same outcome, steps and
-// coin-stream state on both entries; raced under real concurrency, a
-// mixed pair (one side concrete, one portable) elects exactly one winner.
-func TestTwoProcFastMatchesPortable(t *testing.T) {
-	type outcome struct {
-		won, aborted bool
-		steps, next  int
-	}
-	for seed := int64(1); seed <= 20; seed++ {
-		var concrete, portable [2]outcome
-		sc, sp := concurrent.NewSpace(), concurrent.NewSpace()
-		lc, lp := twoproc.New(sc), twoproc.New(sp)
-		for id := 0; id < 2; id++ {
-			hc, hp := concurrent.NewHandle(id, seed), concurrent.NewHandle(id, seed)
-			won, aborted := lc.ElectFastAbortable(hc, id)
-			concrete[id] = outcome{won, aborted, hc.Steps(), hc.Intn(1 << 30)}
-			portable[id] = outcome{lp.Elect(hp, id), false, hp.Steps(), hp.Intn(1 << 30)}
-		}
-		if concrete != portable {
-			t.Fatalf("seed %d: concrete %+v != portable %+v", seed, concrete, portable)
-		}
-	}
-	for trial := 0; trial < 200; trial++ {
-		s := concurrent.NewSpace()
-		le := twoproc.New(s)
-		var won [2]bool
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				h := concurrent.NewHandle(id, int64(trial*2+id)+1)
-				if (trial+id)%2 == 0 {
-					won[id], _ = le.ElectFastAbortable(h, id)
-				} else {
-					won[id] = le.Elect(h, id)
-				}
 			}(i)
 		}
 		wg.Wait()

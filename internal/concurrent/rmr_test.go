@@ -1,8 +1,7 @@
 // RMR accounting on the real-memory backend: unit tests for the CC/DSM
-// charging rules and the cross-surface property test — the doorway's
-// concrete entries and the portable path must report identical outcomes,
-// step and RMR counts and coin use for the same seeds, over every inner
-// elector.
+// charging rules and the recycling property test — an object recycled by
+// Space.Reset must report the same outcomes, step and RMR counts and
+// coin use as a fresh one for the same seeds, over every inner elector.
 package concurrent_test
 
 import (
@@ -181,23 +180,16 @@ func TestRMRAccountingSurvivesReset(t *testing.T) {
 	}
 }
 
-// --- The doorway's concrete entries vs the portable path -------------------
-
-// entries are one object's two ways in: its concrete entry, run with no
-// abort set, and the portable path it shadows. Both report a win.
-type entries struct {
-	concrete func(h *concurrent.Handle) bool
-	portable func(h shm.Handle) bool
-}
+// --- Recycled objects cost what fresh ones do --------------------------------
 
 // electorBuilder allocates a leader election for n processes on s.
 type electorBuilder func(s shm.Space, n int) tas.LeaderElector
 
-// object names a builder of one object with a concrete entry, for n
-// processes on s.
+// object names a builder of one object for n processes on s. The
+// builder returns the entry an arena slot runs, reporting a win.
 type object struct {
 	name  string
-	build func(s shm.Space, n int) entries
+	build func(s shm.Space, n int) func(h shm.Handle) bool
 }
 
 func doorwayOver(inner electorBuilder) electorBuilder {
@@ -205,22 +197,16 @@ func doorwayOver(inner electorBuilder) electorBuilder {
 }
 
 func fastPathOver(inner electorBuilder) object {
-	return object{"fastpath", func(s shm.Space, n int) entries {
+	return object{"fastpath", func(s shm.Space, n int) func(h shm.Handle) bool {
 		f := tas.NewFastPath(s, inner(s, n))
-		return entries{
-			concrete: func(h *concurrent.Handle) bool { won, _ := f.ElectFastAbortable(h); return won },
-			portable: f.Elect,
-		}
+		return func(h shm.Handle) bool { won, _ := f.ElectAbortable(h); return won }
 	}}
 }
 
 func tasOver(le electorBuilder) object {
-	return object{"tas", func(s shm.Space, n int) entries {
+	return object{"tas", func(s shm.Space, n int) func(h shm.Handle) bool {
 		tt := tas.New(s, le(s, n))
-		return entries{
-			concrete: func(h *concurrent.Handle) bool { v, _ := tt.TASFastAbortable(h); return v == 0 },
-			portable: func(h shm.Handle) bool { return tt.TAS(h) == 0 },
-		}
+		return func(h shm.Handle) bool { v, _ := tt.TASAbortable(h); return v == 0 }
 	}}
 }
 
@@ -241,28 +227,21 @@ var (
 	}
 )
 
-// doorwayCases are the objects with a concrete entry:
-//
-//   - FastPath over each inner elector, and TAS over that doorway;
-//   - "fastpath-logstar" and "tas-fastpath": the doorway over log*, on
-//     its own and under TAS, each kept on one space that Space.Reset
-//     recycles between rounds, as an arena slot is;
-//   - "tas-ratrace": TAS straight over RatRace, with no doorway, whose
-//     concrete entry falls back to the portable TAS.
+// doorwayCases are the objects an arena slot can hold: FastPath over
+// each inner elector, and TAS over that doorway; and "tas-ratrace", TAS
+// straight over RatRace with no doorway, whose abortable entry falls
+// back to the plain TAS.
 var doorwayCases = []struct {
-	name     string
-	recycled bool
-	objects  []object
+	name    string
+	objects []object
 }{
-	{"logstar", false, overDoorway(logStar)},
-	{"sifting", false, overDoorway(sifting)},
-	{"adaptive-sifting", false, overDoorway(adaptiveSifting)},
-	{"agtv", false, overDoorway(agtvTournament)},
-	{"ratrace", false, overDoorway(ratRace)},
-	{"combined", false, overDoorway(combined)},
-	{"fastpath-logstar", true, []object{fastPathOver(logStar)}},
-	{"tas-fastpath", true, []object{tasOver(doorwayOver(logStar))}},
-	{"tas-ratrace", false, []object{tasOver(ratRace)}},
+	{"logstar", overDoorway(logStar)},
+	{"sifting", overDoorway(sifting)},
+	{"adaptive-sifting", overDoorway(adaptiveSifting)},
+	{"agtv", overDoorway(agtvTournament)},
+	{"ratrace", overDoorway(ratRace)},
+	{"combined", overDoorway(combined)},
+	{"tas-ratrace", []object{tasOver(ratRace)}},
 }
 
 // handleCosts is one handle's observable outcome: whether it won, its
@@ -274,32 +253,26 @@ type handleCosts struct {
 	next           int
 }
 
-// sequentialCosts runs k handles one after another through an object,
-// each through the concrete entry or each through the portable one, in
-// one round per seed. Each round gets the object on a fresh RMR-counting
-// space, or, if recycled, the object stays on one space and Space.Reset
-// returns it to its initial state before the next round.
-func sequentialCosts(build func(s shm.Space, n int) entries, k int, seeds []int64, recycled, concrete bool) [][]handleCosts {
+// sequentialCosts runs k handles one after another through an object's
+// entry, in one round per seed. Each round gets the object on a fresh
+// RMR-counting space, or, if recycled, the object stays on one space and
+// Space.Reset returns it to its initial state before the next round.
+func sequentialCosts(build func(s shm.Space, n int) func(h shm.Handle) bool, k int, seeds []int64, recycled bool) [][]handleCosts {
 	var s *concurrent.Space
-	var e entries
+	var elect func(h shm.Handle) bool
 	rounds := make([][]handleCosts, len(seeds))
 	for r, seed := range seeds {
 		if s != nil && recycled {
 			s.Reset()
 		} else {
 			s = concurrent.NewSpaceConfig(concurrent.Config{CountRMRs: true})
-			e = build(s, k)
+			elect = build(s, k)
 			s.Seal()
 		}
 		costs := make([]handleCosts, k)
 		for id := range costs {
 			h := concurrent.NewHandle(id, seed)
-			var won bool
-			if concrete {
-				won = e.concrete(h)
-			} else {
-				won = e.portable(h)
-			}
+			won := elect(h)
 			costs[id] = handleCosts{won: won, steps: h.Steps(), cc: h.CCRMRs(), dsm: h.DSMRMRs(), next: h.Intn(1 << 30)}
 		}
 		rounds[r] = costs
@@ -307,40 +280,30 @@ func sequentialCosts(build func(s shm.Space, n int) entries, k int, seeds []int6
 	return rounds
 }
 
-// TestFastMatchesPortableCostsAcrossZoo pins the doorway's concrete
-// entries, FastPath.ElectFastAbortable and TAS.TASFastAbortable with no
-// abort set, to the portable path. In every case 16 handles run one
-// after another on an RMR-counting space, for 5 seeds, and every handle
-// must see the same outcome, steps, CC and DSM RMRs and coin-stream
-// state on both paths. Sequential handles make both executions
-// deterministic, and the charging rules are exact for them. A recycled
-// object must also cost exactly what a fresh one does, on both paths.
-// TestElectFastMatchesPortable in internal/tas races the two entries
-// against each other on one object.
-func TestFastMatchesPortableCostsAcrossZoo(t *testing.T) {
+// TestRecycledMatchesFreshCostsAcrossZoo pins recycling to construction:
+// every object in the zoo, kept on one space that Space.Reset recycles
+// between rounds as an arena slot is, must cost exactly what a fresh
+// object does. In every case 16 handles run one after another on an
+// RMR-counting space, for 5 seeds, and every handle must see the same
+// outcome, steps, CC and DSM RMRs and coin-stream state on both, with
+// exactly one winner per round. Sequential handles make both executions
+// deterministic, and the charging rules are exact for them.
+func TestRecycledMatchesFreshCostsAcrossZoo(t *testing.T) {
 	const k = 16
 	seeds := []int64{1, 2, 3, 4, 5}
 	for _, c := range doorwayCases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, obj := range c.objects {
-				concrete := sequentialCosts(obj.build, k, seeds, c.recycled, true)
-				portable := sequentialCosts(obj.build, k, seeds, c.recycled, false)
-				var fresh [][]handleCosts
-				if c.recycled {
-					fresh = sequentialCosts(obj.build, k, seeds, false, true)
-				}
+				recycled := sequentialCosts(obj.build, k, seeds, true)
+				fresh := sequentialCosts(obj.build, k, seeds, false)
 				for r, seed := range seeds {
 					winners := 0
-					for id := range concrete[r] {
-						if concrete[r][id] != portable[r][id] {
-							t.Fatalf("%s seed %d handle %d: concrete %+v != portable %+v",
-								obj.name, seed, id, concrete[r][id], portable[r][id])
-						}
-						if fresh != nil && concrete[r][id] != fresh[r][id] {
+					for id := range recycled[r] {
+						if recycled[r][id] != fresh[r][id] {
 							t.Fatalf("%s seed %d handle %d: recycled %+v != fresh %+v",
-								obj.name, seed, id, concrete[r][id], fresh[r][id])
+								obj.name, seed, id, recycled[r][id], fresh[r][id])
 						}
-						if concrete[r][id].won {
+						if recycled[r][id].won {
 							winners++
 						}
 					}

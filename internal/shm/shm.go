@@ -1,4 +1,4 @@
-// Package shm defines the shared-memory abstraction that all algorithms in
+// Package shm names the shared-memory abstraction that all algorithms in
 // this repository are written against.
 //
 // The model is the standard asynchronous shared-memory model of the paper:
@@ -6,15 +6,15 @@
 // registers, and every Read or Write of a register is one "step". Local
 // computation, including local coin flips, is free.
 //
-// Algorithms are expressed once, as ordinary Go code, against the three
-// interfaces below:
+// Algorithms are expressed once, as ordinary Go code, against three names:
 //
 //   - Space allocates registers when an algorithm object is constructed.
-//   - Register is an opaque handle to one allocated register.
+//   - Register is an opaque reference to one allocated register.
 //   - Handle is the per-process execution context through which a process
-//     performs steps (Read/Write) and local coin flips (Intn/Coin).
+//     performs steps (Read/Write), local coin flips (Intn/Coin) and, on
+//     the abortable doorway, polls its abort flag (Aborting).
 //
-// Two backends implement these interfaces:
+// Two backends implement Space and Register:
 //
 //   - internal/sim: a deterministic simulator with exact step counting and
 //     adversarial scheduling (used for all step/space-complexity
@@ -22,66 +22,33 @@
 //   - internal/concurrent: real sync/atomic registers for use by actual
 //     goroutines (the production backend of the public randtas package).
 //
-// The two backends deliberately sit at different points of the
-// portability/performance trade. The simulator needs the indirection:
-// its registers and handles interpose the adversary and a switch to the
-// scheduler at every step, so algorithms reach it through these
-// interfaces. The concurrent backend additionally exposes a concrete
-// devirtualized surface (concurrent.Handle.ReadReg/WriteReg on
-// *concurrent.Register) with identical semantics and step accounting.
-// Exactly one algorithm uses it: the constant-step uncontended doorway
-// (tas.FastPath and TAS.TASFastAbortable, over splitter.SplitFast and
-// twoproc.LE.ElectFastAbortable), which caches concrete register
-// pointers at construction. Every lock acquisition runs the doorway
-// first, and it is only a handful of steps, so interface dispatch is a
-// large share of its cost; every other elector is written once, against
-// the interfaces below, and runs unchanged on both backends.
+// There is one handle type, *concurrent.Handle, and Handle is its alias,
+// so every step is a static call. A simulated process's handle and a
+// combiner fiber's handle hand their steps to a scheduler (the simulator
+// or the combiner); a production handle, whose scheduler is nil, steps
+// on the atomic registers. Register and Space stay interfaces, because
+// the simulator keeps its own register type for its adversary views and
+// RMR bookkeeping.
+//
+// The package holds only these aliases, defined in internal/concurrent
+// (the leaf of the shared-memory layer), and NewRegisterArray. The names
+// stay because the algorithms and the benchmark module (bench/) are
+// written against them.
 package shm
 
-// Value is the contents of a register. The paper's algorithms need only
-// small integers; a 64-bit word mirrors real hardware registers.
-type Value = int64
+import "repro/internal/concurrent"
 
-// Register is an opaque reference to a single atomic register. A Register
-// is created by a Space and may only be used with Handles from the same
-// backend. Implementations are unexported types in the backend packages.
-type Register interface {
-	// RegisterID returns a backend-unique identifier, used by the
-	// simulator for space accounting and adversary views.
-	RegisterID() int
-}
-
-// Space allocates registers. Algorithm constructors take a Space so that a
-// single implementation runs on any backend. Space implementations must be
-// safe for use during object construction only; algorithms never allocate
-// registers mid-execution (register footprints are fixed up front, matching
-// the paper's space-complexity accounting).
-type Space interface {
-	// NewRegister allocates a fresh register holding init.
-	NewRegister(init Value) Register
-}
-
-// Handle is the execution context of one process. A Handle is confined to
-// one process (one simulated process or one goroutine); it is not safe for
-// concurrent use.
-type Handle interface {
-	// ID returns the process identifier in [0, n).
-	ID() int
-
-	// Read atomically reads r. This is one shared-memory step.
-	Read(r Register) Value
-
-	// Write atomically writes v to r. This is one shared-memory step.
-	Write(r Register, v Value)
-
-	// Intn returns a uniform integer in [0, n). It is a local coin flip,
-	// not a shared-memory step. n must be positive.
-	Intn(n int) int
-
-	// Coin returns true with probability p (clamped to [0, 1]). It is a
-	// local coin flip, not a shared-memory step.
-	Coin(p float64) bool
-}
+type (
+	// Value is the contents of a register.
+	Value = concurrent.Value
+	// Register is an opaque reference to a single atomic register of
+	// either backend.
+	Register = concurrent.AnyRegister
+	// Space allocates registers on either backend.
+	Space = concurrent.AnySpace
+	// Handle is the execution context of one process.
+	Handle = *concurrent.Handle
+)
 
 // NewRegisterArray allocates size registers, each initialized to init.
 // It is a convenience for algorithms that use register arrays (for example

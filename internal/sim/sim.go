@@ -3,13 +3,18 @@
 // registers, and an adversary that decides which process takes the next step.
 //
 // Each simulated process runs its body as an iter.Pull coroutine executing
-// ordinary Go code against the shm abstraction. Every shm.Handle.Read or
-// Write records the pending operation and yields to the scheduler, which
+// ordinary Go code against the shm abstraction. The body steps through a
+// *concurrent.Handle, the repository's one handle type, bound to the
+// process as its scheduler (concurrent.Scheduler): every Read or Write
+// records the pending operation and yields to the scheduler, which
 // resumes the process only when it grants the step, so exactly one process
 // body runs at any time and executions are fully deterministic given
 // (seed, adversary). This gives exact step counting — the Go runtime
 // scheduler never influences results — which is what the paper's
-// step-complexity statements require.
+// step-complexity statements require. Coins come from the handle's own
+// splitmix64 stream, rooted at the process's seed, and abort flags are
+// the handle's too: a StepHook may raise one to run an abortable
+// elector's departure under any adversary.
 //
 // # Process coroutines (engine v2)
 //
@@ -59,6 +64,7 @@ import (
 	"fmt"
 	"iter"
 
+	"repro/internal/concurrent"
 	"repro/internal/rng"
 	"repro/internal/shm"
 )
@@ -128,12 +134,12 @@ type register struct {
 // RegisterID implements shm.Register.
 func (r *register) RegisterID() int { return r.id }
 
-// Proc is the simulator's implementation of shm.Handle. Each Proc runs its
-// process body as one coroutine.
-type Proc struct {
+// proc is one simulated process: the scheduler of its handle, and the
+// coroutine that runs its body.
+type proc struct {
+	h   concurrent.Handle // bound to the proc; the body steps through &h
 	id  int
 	sys *System
-	rng rng.SplitMix64
 
 	// next resumes the coroutine until it parks on a step or its body
 	// ends; stop ends a coroutine parked between executions. Both are nil
@@ -151,31 +157,19 @@ type Proc struct {
 	pending pendingOp // set by the coroutine before it yields
 	state   procState
 	steps   int
-	coins   int
 	ccRMRs  int   // remote memory references, cache-coherent model
 	dsmRMRs int   // remote memory references, distributed-shared-memory model
 	cache   []int // CC cache: register id → write version last read
 }
 
-var _ shm.Handle = (*Proc)(nil)
-
-// ID implements shm.Handle.
-func (p *Proc) ID() int { return p.id }
-
-// Read implements shm.Handle. It parks the process until the scheduler
+// Step implements concurrent.Scheduler: the handle's Read or Write
+// publishes its pending op and parks the process until the scheduler
 // grants the step.
-func (p *Proc) Read(r shm.Register) shm.Value {
-	return p.step(pendingOp{kind: OpRead, reg: p.sys.mustOwn(r)})
-}
-
-// Write implements shm.Handle. It parks the process until the scheduler
-// grants the step.
-func (p *Proc) Write(r shm.Register, v shm.Value) {
-	p.step(pendingOp{kind: OpWrite, reg: p.sys.mustOwn(r), val: v})
-}
-
-func (p *Proc) step(op pendingOp) shm.Value {
-	p.pending = op
+func (p *proc) Step(r shm.Register, write bool, v shm.Value) shm.Value {
+	p.pending = pendingOp{kind: OpRead, reg: p.sys.mustOwn(r)}
+	if write {
+		p.pending.kind, p.pending.val = OpWrite, v
+	}
 	p.yield(true)
 	if p.kill {
 		panic(killedError{})
@@ -183,28 +177,16 @@ func (p *Proc) step(op pendingOp) shm.Value {
 	return p.grant
 }
 
-// Intn implements shm.Handle: a local coin flip, not a shared-memory step.
-func (p *Proc) Intn(n int) int {
-	p.coins++
-	if f := p.sys.cfg.IntnFunc; f != nil {
-		return f(p.id, n)
-	}
-	return p.rng.Intn(n)
-}
-
-// Coin implements shm.Handle: true with probability prob.
-func (p *Proc) Coin(prob float64) bool {
-	p.coins++
-	if f := p.sys.cfg.CoinFunc; f != nil {
-		return f(p.id, prob)
-	}
-	return p.rng.Coin(prob)
+// bind (re)binds the proc's handle for an execution with the given
+// System seed.
+func (p *proc) bind(seed int64) {
+	p.h.Bind(p.id, p, procSeed(seed, p.id), p.sys.tape)
 }
 
 // run is the process coroutine: it runs the installed body and, on a
 // Reuse System, parks between executions until Start resumes it with the
 // next body or Release stops it.
-func (p *Proc) run(yield func(parked bool) bool) {
+func (p *proc) run(yield func(parked bool) bool) {
 	p.yield = yield
 	for {
 		p.runBody()
@@ -217,7 +199,7 @@ func (p *Proc) run(yield func(parked bool) bool) {
 // runBody executes the process body, converting the kill sentinel into a
 // clean exit. Other panics propagate to the scheduler call that resumed
 // the process: a bug in algorithm code should crash tests.
-func (p *Proc) runBody() {
+func (p *proc) runBody() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killedError); !ok {
@@ -225,7 +207,7 @@ func (p *Proc) runBody() {
 			}
 		}
 	}()
-	p.body(p)
+	p.body(&p.h)
 }
 
 // StepEvent describes one executed shared-memory step, for tracing.
@@ -284,7 +266,8 @@ type System struct {
 	cfg       Config
 	registers []*register
 	touched   []*register // registers read or written in this execution
-	procs     []*Proc
+	procs     []*proc
+	tape      *concurrent.CoinTape // CoinFunc and IntnFunc; nil if neither is set
 	schedule  []int
 	time      int
 	parked    int
@@ -302,9 +285,13 @@ func NewSystem(cfg Config) *System {
 	if cfg.N <= 0 {
 		panic(fmt.Sprintf("sim: invalid process count %d", cfg.N))
 	}
-	s := &System{cfg: cfg, procs: make([]*Proc, cfg.N)}
+	s := &System{cfg: cfg, procs: make([]*proc, cfg.N)}
+	if cfg.CoinFunc != nil || cfg.IntnFunc != nil {
+		s.tape = &concurrent.CoinTape{Coin: cfg.CoinFunc, Intn: cfg.IntnFunc}
+	}
 	for i := range s.procs {
-		s.procs[i] = &Proc{id: i, sys: s, rng: rng.New(procSeed(cfg.Seed, i))}
+		s.procs[i] = &proc{id: i, sys: s}
+		s.procs[i].bind(cfg.Seed)
 	}
 	return s
 }
@@ -378,7 +365,7 @@ func (s *System) Start(body func(h shm.Handle)) {
 }
 
 // resume runs p until it parks on its next step or its body ends.
-func (s *System) resume(p *Proc) {
+func (s *System) resume(p *proc) {
 	parked, alive := p.next()
 	if !alive {
 		p.next, p.stop = nil, nil // a one-shot coroutine ends with its body
@@ -454,7 +441,7 @@ func (s *System) Step(pid int) StepEvent {
 //
 // Accounting only reads scheduler-side state and only writes accounting
 // fields, so executions are step-for-step identical with it on or off.
-func (s *System) chargeRMRs(p *Proc, op pendingOp) {
+func (s *System) chargeRMRs(p *proc, op pendingOp) {
 	r := op.reg
 	if r.home == -1 {
 		r.home = p.id
@@ -545,10 +532,9 @@ func (s *System) Reset(seed int64) {
 	for _, p := range s.procs {
 		p.state = stateCreated
 		p.steps = 0
-		p.coins = 0
 		p.ccRMRs = 0
 		p.dsmRMRs = 0
-		p.rng = rng.New(procSeed(seed, p.id))
+		p.bind(seed)
 	}
 	s.started = false
 	s.closed = false
@@ -588,7 +574,7 @@ func (s *System) Time() int { return s.time }
 func (s *System) StepsOf(pid int) int { return s.procs[pid].steps }
 
 // CoinsOf returns the number of local coin flips pid has made.
-func (s *System) CoinsOf(pid int) int { return s.procs[pid].coins }
+func (s *System) CoinsOf(pid int) int { return s.procs[pid].h.Coins() }
 
 // CCRMRsOf returns the remote memory references pid has been charged
 // under the cache-coherent model (zero unless Config.CountRMRs).

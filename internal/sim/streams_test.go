@@ -1,16 +1,19 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/rng"
+)
 
 // Regression for the review finding: per-process coin streams must not be
 // shifted copies of each other.
 func TestProcStreamsDecorrelated(t *testing.T) {
 	draw := func(pid, count int) []uint64 {
-		sys := NewSystem(Config{N: 8, Seed: 42})
-		p := sys.procs[pid]
+		g := rng.New(procSeed(42, pid)) // the root of pid's handle stream
 		out := make([]uint64, count)
 		for i := range out {
-			out[i] = p.rng.Next()
+			out[i] = g.Next()
 		}
 		return out
 	}

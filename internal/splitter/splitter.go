@@ -15,10 +15,7 @@
 // what RatRace's primary tree needs (Section 3.1).
 package splitter
 
-import (
-	"repro/internal/concurrent"
-	"repro/internal/shm"
-)
+import "repro/internal/shm"
 
 // Outcome is the result of a split() call.
 type Outcome uint8
@@ -51,25 +48,16 @@ const noProcess = shm.Value(-1)
 type Splitter struct {
 	x shm.Register // last process to enter the doorway
 	y shm.Register // doorway closed flag
-
-	// Concrete registers cached at construction when the space is the
-	// concurrent backend; nil otherwise. They let SplitFast run the same
-	// four steps with no interface dispatch or type assertions: the
-	// splitter is the front of tas.FastPath's doorway, the one place
-	// that keeps concrete step code.
-	xc, yc *concurrent.Register
 }
 
 // New allocates a deterministic splitter on s.
 func New(s shm.Space) *Splitter {
-	sp := &Splitter{x: s.NewRegister(noProcess), y: s.NewRegister(0)}
-	sp.xc, _ = sp.x.(*concurrent.Register)
-	sp.yc, _ = sp.y.(*concurrent.Register)
-	return sp
+	return &Splitter{x: s.NewRegister(noProcess), y: s.NewRegister(0)}
 }
 
 // Split performs the split() operation for the process behind h.
-// It takes at most 4 steps.
+// It takes at most 4 steps. It is the front of tas.FastPath's doorway,
+// which every lock acquisition runs.
 func (sp *Splitter) Split(h shm.Handle) Outcome {
 	h.Write(sp.x, shm.Value(h.ID()))
 	if h.Read(sp.y) != 0 {
@@ -77,24 +65,6 @@ func (sp *Splitter) Split(h shm.Handle) Outcome {
 	}
 	h.Write(sp.y, 1)
 	if h.Read(sp.x) == shm.Value(h.ID()) {
-		return Stop
-	}
-	return Right
-}
-
-// SplitFast is Split specialized for the concurrent backend: identical
-// steps, devirtualized. Falls back to Split when the splitter was built
-// on a different backend.
-func (sp *Splitter) SplitFast(h *concurrent.Handle) Outcome {
-	if sp.xc == nil {
-		return sp.Split(h)
-	}
-	h.WriteReg(sp.xc, shm.Value(h.ID()))
-	if h.ReadReg(sp.yc) != 0 {
-		return Left
-	}
-	h.WriteReg(sp.yc, 1)
-	if h.ReadReg(sp.xc) == shm.Value(h.ID()) {
 		return Stop
 	}
 	return Right

@@ -24,7 +24,7 @@ func TestTASAbortLeavesRoundWinnable(t *testing.T) {
 
 	h0 := concurrent.NewHandle(0, 1)
 	h0.Abort()
-	if v, aborted := obj.TASFastAbortable(h0); v != 1 || !aborted {
+	if v, aborted := obj.TASAbortable(h0); v != 1 || !aborted {
 		t.Fatalf("aborted TAS = (%d, %v), want (1, true)", v, aborted)
 	}
 	if h0.Steps() != 0 {
@@ -36,13 +36,13 @@ func TestTASAbortLeavesRoundWinnable(t *testing.T) {
 
 	// The round was not consumed: a later caller without an abort wins.
 	h1 := concurrent.NewHandle(1, 2)
-	if v, aborted := obj.TASFastAbortable(h1); v != 0 || aborted {
+	if v, aborted := obj.TASAbortable(h1); v != 0 || aborted {
 		t.Fatalf("post-abort solo TAS = (%d, %v), want (0, false)", v, aborted)
 	}
 
 	// And a genuine loser behaves as ever: loses, writes done.
 	h2 := concurrent.NewHandle(2, 3)
-	if v, aborted := obj.TASFastAbortable(h2); v != 1 || aborted {
+	if v, aborted := obj.TASAbortable(h2); v != 1 || aborted {
 		t.Fatalf("late loser TAS = (%d, %v), want (1, false)", v, aborted)
 	}
 	if got := obj.Read(h2); got != 1 {
@@ -58,7 +58,7 @@ func TestTASAbortableFallback(t *testing.T) {
 	obj := New(s, core.NewLogStar(s, 2)) // no doorway: no abort protocol
 	h := concurrent.NewHandle(0, 1)
 	h.Abort()
-	v, aborted := obj.TASFastAbortable(h)
+	v, aborted := obj.TASAbortable(h)
 	if aborted {
 		t.Fatal("fallback path reported aborted")
 	}
@@ -67,7 +67,7 @@ func TestTASAbortableFallback(t *testing.T) {
 	}
 }
 
-// TestTASAbortWinRace hammers the abortable fast path from many
+// TestTASAbortWinRace hammers the abortable doorway from many
 // goroutines while aborts land mid-election. Whatever the interleaving:
 // at most one caller receives 0; an aborted return is always a loss; and
 // when no call observed an abort, exactly one winner exists (winnerless
@@ -87,7 +87,7 @@ func TestTASAbortWinRace(t *testing.T) {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
-				vs[id], aborteds[id] = obj.TASFastAbortable(handles[id])
+				vs[id], aborteds[id] = obj.TASAbortable(handles[id])
 			}(i)
 		}
 		// Abort a trial-dependent subset while the elections run.

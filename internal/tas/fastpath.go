@@ -12,19 +12,15 @@
 // to the full election. Uncontended acquisitions then cost O(1) steps
 // regardless of the inner algorithm; contended ones pay 4 extra steps.
 //
-// The doorway holds the repository's only concrete step code: the
-// splitter's SplitFast, the final's ElectFastAbortable, and
-// FastPath.ElectFastAbortable and TAS.TASFastAbortable above them step
-// on *concurrent.Register through *concurrent.Handle with no interface
-// dispatch. Every acquisition runs the doorway first and it is a handful
-// of steps, so dispatch is a large share of its cost (ARCHITECTURE.md
-// records the measurement). The inner elections run far more steps per
-// call and only under contention, so they stay portable, written once
-// against shm.Handle.
+// The doorway is also where aborts live. Its abortable chain —
+// TAS.TASAbortable over FastPath.ElectAbortable over the final's
+// twoproc.LE.ElectAbortable — polls the handle's abort flag at its
+// decision points, and is written once against shm.Handle like every
+// other elector, so the simulator's adversaries run it as they run the
+// rest. The inner election runs to completion and never polls.
 package tas
 
 import (
-	"repro/internal/concurrent"
 	"repro/internal/shm"
 	"repro/internal/splitter"
 	"repro/internal/twoproc"
@@ -76,9 +72,7 @@ func (f *FastPath) Elect(h shm.Handle) bool {
 	return false
 }
 
-// ElectFastAbortable is Elect specialized for the concurrent backend:
-// the identical protocol with doorway and final devirtualized, while the
-// inner election runs through its portable Elect. It returns (won,
+// ElectAbortable is Elect plus an abort protocol. It returns (won,
 // aborted):
 //
 //   - (true, false)  — the caller won.
@@ -110,18 +104,18 @@ func (f *FastPath) Elect(h shm.Handle) bool {
 // its flag down, so the opposite slot (if occupied) still elects; if no
 // other contender exists the round ends winnerless, which the (false,
 // true) return makes the caller account for.
-func (f *FastPath) ElectFastAbortable(h *concurrent.Handle) (won, aborted bool) {
+func (f *FastPath) ElectAbortable(h shm.Handle) (won, aborted bool) {
 	if h.Aborting() {
 		return false, true
 	}
-	if f.sp.SplitFast(h) == splitter.Stop {
-		return f.final.ElectFastAbortable(h, 0)
+	if f.sp.Split(h) == splitter.Stop {
+		return f.final.ElectAbortable(h, 0)
 	}
 	if h.Aborting() {
 		return false, true
 	}
 	if f.inner.Elect(h) {
-		return f.final.ElectFastAbortable(h, 1)
+		return f.final.ElectAbortable(h, 1)
 	}
 	return false, false
 }

@@ -21,10 +21,7 @@
 // not linearized yet.
 package tas
 
-import (
-	"repro/internal/concurrent"
-	"repro/internal/shm"
-)
+import "repro/internal/shm"
 
 // LeaderElector is the interface the transformation consumes. All leader
 // elections in this repository (core chains, RatRace variants, AGTV
@@ -40,20 +37,13 @@ type LeaderElector interface {
 type TAS struct {
 	le   LeaderElector
 	done shm.Register
-
-	// Cached at construction for TASFastAbortable: the concrete done
-	// register (concurrent backend only) and le itself when it is the
-	// doorway.
-	doneC *concurrent.Register
-	fp    *FastPath
+	fp   *FastPath // le itself when it is the doorway, for TASAbortable
 }
 
 // New builds a TAS object from le, allocating its done register on s.
 func New(s shm.Space, le LeaderElector) *TAS {
-	t := &TAS{le: le, done: s.NewRegister(0)}
-	t.doneC, _ = t.done.(*concurrent.Register)
-	t.fp, _ = le.(*FastPath)
-	return t
+	fp, _ := le.(*FastPath)
+	return &TAS{le: le, done: s.NewRegister(0), fp: fp}
 }
 
 // TAS sets the bit and returns its previous value (0 for the unique
@@ -69,10 +59,9 @@ func (t *TAS) TAS(h shm.Handle) int {
 	return 1
 }
 
-// TASFastAbortable is TAS specialized for the concurrent backend over
-// the doorway (a FastPath elector): the same transformation — done-read,
-// elect, possible done-write — with the done register and the doorway
-// devirtualized, plus an abort protocol. With no abort set it is
+// TASAbortable is TAS over the doorway (a FastPath elector) plus an
+// abort protocol: the same transformation — done-read, elect, possible
+// done-write — through FastPath.ElectAbortable. With no abort set it is
 // observably identical to TAS (same steps, same coins, same
 // linearization argument). It returns (v, aborted); aborted is true iff
 // the call resolved because of the handle's abort flag, in which case v
@@ -86,27 +75,26 @@ func (t *TAS) TAS(h shm.Handle) int {
 // spent when nobody won it. Leaving done untouched keeps the round
 // winnable by later participants; a round that drains with only
 // aborters is detected and recycled by the arena's refcount (see
-// internal/arena). Off the concurrent backend or without the doorway
-// underneath, the call falls back to running TAS to completion
-// (aborted == false).
-func (t *TAS) TASFastAbortable(h *concurrent.Handle) (v int, aborted bool) {
-	if t.doneC == nil || t.fp == nil {
+// internal/arena). Without the doorway underneath, the call falls back
+// to running TAS to completion (aborted == false).
+func (t *TAS) TASAbortable(h shm.Handle) (v int, aborted bool) {
+	if t.fp == nil {
 		return t.TAS(h), false
 	}
 	if h.Aborting() {
 		return 1, true
 	}
-	if h.ReadReg(t.doneC) == 1 {
+	if h.Read(t.done) == 1 {
 		return 1, false
 	}
-	won, ab := t.fp.ElectFastAbortable(h)
+	won, ab := t.fp.ElectAbortable(h)
 	if won {
 		return 0, false
 	}
 	if ab {
 		return 1, true
 	}
-	h.WriteReg(t.doneC, 1)
+	h.Write(t.done, 1)
 	return 1, false
 }
 

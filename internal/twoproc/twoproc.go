@@ -31,10 +31,7 @@
 // adversary, and a solo caller finishes after 2 steps.
 package twoproc
 
-import (
-	"repro/internal/concurrent"
-	"repro/internal/shm"
-)
+import "repro/internal/shm"
 
 const (
 	down shm.Value = 0
@@ -46,52 +43,28 @@ const (
 // registers.
 type LE struct {
 	flags [2]shm.Register
-
-	// Concrete registers cached at construction on the concurrent
-	// backend (nil otherwise), backing ElectFastAbortable: the final of
-	// tas.FastPath's doorway, the one place that keeps concrete step
-	// code.
-	cflags [2]*concurrent.Register
 }
 
 // New allocates a two-process leader election on s.
 func New(s shm.Space) *LE {
-	l := &LE{flags: [2]shm.Register{s.NewRegister(down), s.NewRegister(down)}}
-	l.cflags[0], _ = l.flags[0].(*concurrent.Register)
-	l.cflags[1], _ = l.flags[1].(*concurrent.Register)
-	return l
+	return &LE{flags: [2]shm.Register{s.NewRegister(down), s.NewRegister(down)}}
 }
 
 // Elect runs the election for the caller occupying the given slot (0 or 1)
 // and returns true iff the caller wins. At most one of the two slots'
 // calls returns true; a solo call returns true; if both slots complete,
-// exactly one wins.
+// exactly one wins. Elect ignores the handle's abort flag: RatRace, AGTV
+// and the log* chain run it inside their own elections, where a
+// departure could leave a non-aborting caller losing with no winner.
 func (l *LE) Elect(h shm.Handle, slot int) bool {
-	mine, other := l.flags[slot], l.flags[1-slot]
-	last := up
-	h.Write(mine, up)
-	for {
-		v := h.Read(other)
-		switch {
-		case last == up && v == down:
-			return true
-		case last == down && v == up:
-			return false
-		}
-		if h.Coin(0.5) {
-			last = up
-		} else {
-			last = down
-		}
-		h.Write(mine, last)
-	}
+	won, _ := l.elect(h, slot, false)
+	return won
 }
 
-// ElectFastAbortable is Elect specialized for the concurrent backend,
-// with every Read, Write and Coin devirtualized, plus an abort
-// protocol. Off that backend it falls back to Elect. It polls
-// h.Aborting() at every spin point and, when an abort lands, resolves
-// the call to a loss after announcing departure:
+// ElectAbortable is Elect plus an abort protocol: the final of
+// tas.FastPath's abortable doorway. It polls h.Aborting() at every spin
+// point and, when an abort lands, resolves the call to a loss after
+// announcing departure:
 //
 //   - An abort observed before the first raise costs zero steps — the
 //     caller never entered the protocol and the other slot runs solo.
@@ -108,27 +81,30 @@ func (l *LE) Elect(h shm.Handle, slot int) bool {
 // The (false, true) return tells the caller it is in that weaker
 // regime. In abort-free executions the call is step- and coin-identical
 // to Elect.
-func (l *LE) ElectFastAbortable(h *concurrent.Handle, slot int) (won, aborted bool) {
-	mine, other := l.cflags[slot], l.cflags[1-slot]
-	if mine == nil {
-		return l.Elect(h, slot), false
-	}
-	if h.Aborting() {
+func (l *LE) ElectAbortable(h shm.Handle, slot int) (won, aborted bool) {
+	return l.elect(h, slot, true)
+}
+
+// elect is the one body of Elect and ElectAbortable; abortable turns on
+// the abort polls.
+func (l *LE) elect(h shm.Handle, slot int, abortable bool) (won, aborted bool) {
+	if abortable && h.Aborting() {
 		return false, true
 	}
+	mine, other := l.flags[slot], l.flags[1-slot]
 	last := up
-	h.WriteReg(mine, up)
+	h.Write(mine, up)
 	for {
-		v := h.ReadReg(other)
+		v := h.Read(other)
 		switch {
 		case last == up && v == down:
 			return true, false
 		case last == down && v == up:
 			return false, false
 		}
-		if h.Aborting() {
+		if abortable && h.Aborting() {
 			if last == up {
-				h.WriteReg(mine, down)
+				h.Write(mine, down)
 			}
 			return false, true
 		}
@@ -137,7 +113,7 @@ func (l *LE) ElectFastAbortable(h *concurrent.Handle, slot int) (won, aborted bo
 		} else {
 			last = down
 		}
-		h.WriteReg(mine, last)
+		h.Write(mine, last)
 	}
 }
 
