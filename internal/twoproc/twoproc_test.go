@@ -11,10 +11,12 @@ import (
 
 // --- Exhaustive model checking of the 2-process protocol -----------------
 //
-// The protocol's safety claims (at most one winner, at most one loser) must
-// hold for EVERY schedule and EVERY coin outcome. We enumerate both: binary
-// schedules up to a depth bound, crossed with explicit per-process coin
-// tapes fed through sim.Config.CoinFunc.
+// The protocol's safety claims (at most one winner, at most one loser
+// unless a caller departed) must hold for EVERY schedule, EVERY coin
+// outcome and, on the abortable entry, EVERY abort point. We enumerate
+// them: binary schedules up to a depth bound, crossed with explicit
+// per-process coin tapes fed through sim.Config.CoinFunc and with abort
+// flags raised from sim.Config.StepHook.
 
 type outcome int8
 
@@ -24,50 +26,98 @@ const (
 	outLost
 )
 
-// runBounded executes the 2-process LE under an explicit schedule and coin
-// tapes, stopping after the schedule is exhausted. It reports each
-// process's outcome (outRunning if unfinished) and whether any process ran
-// out of coin tape (in which case the run is only a prefix of a real
-// execution and liveness conclusions must be skipped).
-func runBounded(schedule []int, tapes [2][]bool) (res [2]outcome, overflow bool) {
-	pos := [2]int{}
-	cfg := sim.Config{
-		N:    2,
-		Seed: 1,
+// noAbort is the abort point of a process that never aborts.
+const noAbort = -1
+
+// execution is what one bounded run observed.
+type execution struct {
+	res      [2]outcome // outRunning if the process did not finish
+	aborted  [2]bool    // the call resolved by abort
+	steps    [2]int
+	lastOwn  [2]shm.Value // last value written to the own flag; -1 if none
+	overflow bool         // a process ran out of coin tape
+}
+
+// bounded runs the 2-process LE under explicit schedules, coin tapes and
+// abort points, recycling one simulated System across runs.
+type bounded struct {
+	sys    *sim.System
+	le     *LE
+	tapes  [2][]bool
+	pos    [2]int
+	aborts [2]int
+	hs     [2]shm.Handle
+	ex     execution
+}
+
+func newBounded() *bounded {
+	b := &bounded{}
+	b.sys = sim.NewSystem(sim.Config{
+		N:     2,
+		Seed:  1,
+		Reuse: true,
 		CoinFunc: func(pid int, _ float64) bool {
-			if pos[pid] >= len(tapes[pid]) {
-				overflow = true
+			if b.pos[pid] >= len(b.tapes[pid]) {
+				b.ex.overflow = true
 				return false
 			}
-			b := tapes[pid][pos[pid]]
-			pos[pid]++
-			return b
+			bit := b.tapes[pid][b.pos[pid]]
+			b.pos[pid]++
+			return bit
 		},
-	}
-	sys := sim.NewSystem(cfg)
-	le := New(sys)
-	sys.Start(func(h shm.Handle) {
-		if le.Elect(h, h.ID()) {
-			res[h.ID()] = outWon
+		StepHook: func(ev sim.StepEvent) {
+			if ev.Kind == sim.OpWrite && ev.Reg == b.le.flags[ev.PID].RegisterID() {
+				b.ex.lastOwn[ev.PID] = ev.Val
+			}
+			if b.sys.StepsOf(ev.PID) == b.aborts[ev.PID] {
+				b.hs[ev.PID].Abort()
+			}
+		},
+	})
+	b.le = New(b.sys)
+	return b
+}
+
+// run executes the schedule, stopping once it is exhausted. Process pid
+// raises its abort flag, through the handle its body received, after
+// its aborts[pid]-th step (0: before its first). With no abort point on
+// either process both run the plain Elect; otherwise both run
+// ElectAbortable.
+func (b *bounded) run(schedule []int, tapes [2][]bool, aborts [2]int) execution {
+	b.sys.Reset(1)
+	b.tapes, b.pos, b.aborts = tapes, [2]int{}, aborts
+	b.ex = execution{lastOwn: [2]shm.Value{-1, -1}}
+	abortable := aborts != [2]int{noAbort, noAbort}
+	b.sys.Start(func(h shm.Handle) {
+		id := h.ID()
+		b.hs[id] = h
+		if aborts[id] == 0 {
+			h.Abort()
+		}
+		won := false
+		if abortable {
+			won, b.ex.aborted[id] = b.le.ElectAbortable(h, id)
 		} else {
-			res[h.ID()] = outLost
+			won = b.le.Elect(h, id)
+		}
+		b.ex.res[id] = outLost
+		if won {
+			b.ex.res[id] = outWon
 		}
 	})
-	defer sys.Close()
 	for _, pid := range schedule {
-		if sys.Parked(pid) {
-			sys.Step(pid)
+		if b.sys.Parked(pid) {
+			b.sys.Step(pid)
 		}
 	}
-	// Outcomes recorded by still-running processes are outRunning; a
-	// process that finished set its slot before its final handshake, and
-	// the scheduler's channel synchronization makes that visible here.
 	for pid := 0; pid < 2; pid++ {
-		if !sys.Finished(pid) {
-			res[pid] = outRunning
+		b.ex.steps[pid] = b.sys.StepsOf(pid)
+		if !b.sys.Finished(pid) {
+			b.ex.res[pid] = outRunning
 		}
 	}
-	return res, overflow
+	b.sys.Close()
+	return b.ex
 }
 
 func tapeFromBits(bits uint, width int) []bool {
@@ -86,29 +136,66 @@ func scheduleFromBits(bits uint, width int) []int {
 	return seq
 }
 
-func checkSafety(t *testing.T, res [2]outcome, ctx string) {
+// checkSafety asserts the protocol's safety ladder on one execution:
+//
+//   - never two winners;
+//   - never two losers unless some call departed by abort;
+//   - an aborted call never wins;
+//   - an abort before the first raise takes zero steps;
+//   - an aborter's last write to its own flag is down.
+func checkSafety(t *testing.T, ex execution, aborts [2]int, ctx string) {
 	t.Helper()
-	if res[0] == outWon && res[1] == outWon {
+	if ex.res[0] == outWon && ex.res[1] == outWon {
 		t.Fatalf("%s: both processes won", ctx)
 	}
-	if res[0] == outLost && res[1] == outLost {
-		t.Fatalf("%s: both processes lost", ctx)
+	if ex.res[0] == outLost && ex.res[1] == outLost && !ex.aborted[0] && !ex.aborted[1] {
+		t.Fatalf("%s: both processes lost and neither departed", ctx)
+	}
+	for pid := 0; pid < 2; pid++ {
+		if ex.aborted[pid] && ex.res[pid] == outWon {
+			t.Fatalf("%s: process %d won an aborted call", ctx, pid)
+		}
+		if aborts[pid] == 0 && (!ex.aborted[pid] || ex.steps[pid] != 0) {
+			t.Fatalf("%s: process %d aborted before entry: aborted=%v after %d steps, want true after 0",
+				ctx, pid, ex.aborted[pid], ex.steps[pid])
+		}
+		if ex.aborted[pid] && ex.lastOwn[pid] == up {
+			t.Fatalf("%s: process %d departed with its flag up", ctx, pid)
+		}
 	}
 }
 
 // TestExhaustiveShallow enumerates every schedule of length 8 crossed with
-// every pair of 3-bit coin tapes: 2^8 · 2^6 = 16384 executions.
+// every pair of 3-bit coin tapes, 2^8 · 2^6 = 16384 executions, and each
+// of those with every pair of abort points: none, or after the process's
+// j-th step for every j up to the depth. An abort point the process does
+// not reach is never raised, so its execution is the one without it:
+// those, and every later point, are skipped.
 func TestExhaustiveShallow(t *testing.T) {
 	const schedBits, tapeBits = 8, 3
+	b := newBounded()
+	defer b.sys.Release()
 	for sb := uint(0); sb < 1<<schedBits; sb++ {
 		sched := scheduleFromBits(sb, schedBits)
+		var turns [2]int
+		for _, pid := range sched {
+			turns[pid]++
+		}
 		for tb := uint(0); tb < 1<<(2*tapeBits); tb++ {
 			tapes := [2][]bool{
 				tapeFromBits(tb&(1<<tapeBits-1), tapeBits),
 				tapeFromBits(tb>>tapeBits, tapeBits),
 			}
-			res, _ := runBounded(sched, tapes)
-			checkSafety(t, res, "shallow")
+			for a1 := noAbort; a1 <= turns[1]; a1++ {
+				for a0 := noAbort; a0 <= turns[0]; a0++ {
+					aborts := [2]int{a0, a1}
+					ex := b.run(sched, tapes, aborts)
+					checkSafety(t, ex, aborts, "shallow")
+					if ex.steps[0] < a0 {
+						break // p0's abort was never raised
+					}
+				}
+			}
 		}
 	}
 }
@@ -140,12 +227,15 @@ func TestExhaustiveDeepStructuredTapes(t *testing.T) {
 	}
 	patterns := []string{"up", "down", "alt", "tla"}
 	const schedBits = 12
+	b := newBounded()
+	defer b.sys.Release()
+	none := [2]int{noAbort, noAbort}
 	for sb := uint(0); sb < 1<<schedBits; sb++ {
 		sched := scheduleFromBits(sb, schedBits)
 		for _, p0 := range patterns {
 			for _, p1 := range patterns {
-				res, _ := runBounded(sched, [2][]bool{mk(p0), mk(p1)})
-				checkSafety(t, res, "deep "+p0+"/"+p1)
+				ex := b.run(sched, [2][]bool{mk(p0), mk(p1)}, none)
+				checkSafety(t, ex, none, "deep "+p0+"/"+p1)
 			}
 		}
 	}
