@@ -1,14 +1,19 @@
 // Abort-protocol tests at the TAS layer: an abort is a loss that must
 // not brand the round — the aborter skips the done-write, so a round
 // every participant abandons stays winnable for whoever comes later.
+// The abortable chain runs raced on goroutines and under the
+// simulator's named adversaries.
 package tas
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/concurrent"
 	"repro/internal/core"
+	"repro/internal/shm"
+	"repro/internal/sim"
 )
 
 func newAbortableTAS(n int) *TAS {
@@ -115,5 +120,98 @@ func TestTASAbortWinRace(t *testing.T) {
 		if aborted == 0 && zeros != 1 {
 			t.Fatalf("trial %d: no abort observed yet %d winners, want exactly 1", trial, zeros)
 		}
+	}
+}
+
+// TestTASAbortableUnderAdversaries runs the abortable chain, TASAbortable
+// over FastPath over log* at k = 8, in the simulator under the adaptive
+// lockstep adversary and under 50 random-oblivious schedules. In each
+// run the step hook raises the abort flag of a chosen set of processes
+// mid-run — none, every third, or all of them — each after a
+// pid-dependent number of its own steps. Whatever the schedule:
+//
+//   - at most one call returns 0, and exactly one when no call aborted;
+//   - an aborted call never returns 0, and its process never writes the
+//     done register;
+//   - every process finishes.
+func TestTASAbortableUnderAdversaries(t *testing.T) {
+	const k = 8
+	adversaries := []struct {
+		name string
+		mk   func(seed int64) sim.Adversary
+	}{
+		{"lockstep", func(int64) sim.Adversary { return sim.NewLockstep() }},
+		{"random-oblivious", func(seed int64) sim.Adversary { return sim.NewRandomOblivious(seed ^ 0x5eed) }},
+	}
+	patterns := []struct {
+		name  string
+		abort func(seed int64, pid int) bool
+	}{
+		{"none", func(int64, int) bool { return false }},
+		{"third", func(seed int64, pid int) bool { return (int64(pid)+seed)%3 == 0 }},
+		{"all", func(int64, int) bool { return true }},
+	}
+	for _, adv := range adversaries {
+		for _, pat := range patterns {
+			t.Run(adv.name+"/"+pat.name, func(t *testing.T) {
+				for seed := int64(0); seed < 50; seed++ {
+					checkAbortableRun(t, k, seed, adv.mk(seed), pat.abort)
+				}
+			})
+		}
+	}
+}
+
+// checkAbortableRun runs one simulated execution of the abortable chain
+// and checks it (see TestTASAbortableUnderAdversaries).
+func checkAbortableRun(t *testing.T, k int, seed int64, adv sim.Adversary, abort func(seed int64, pid int) bool) {
+	t.Helper()
+	var (
+		sys       *sim.System
+		obj       *TAS
+		hs        = make([]shm.Handle, k)
+		vs        = make([]int, k)
+		aborted   = make([]bool, k)
+		wroteDone = make([]bool, k)
+	)
+	sys = sim.NewSystem(sim.Config{N: k, Seed: seed, StepHook: func(ev sim.StepEvent) {
+		if ev.Kind == sim.OpWrite && ev.Reg == obj.done.RegisterID() {
+			wroteDone[ev.PID] = true
+		}
+		// Abort after the process's (1 + (seed+pid) mod 9)-th step:
+		// in the splitter, the final or the inner election.
+		if abort(seed, ev.PID) && sys.StepsOf(ev.PID) == 1+int((seed+int64(ev.PID))%9) {
+			hs[ev.PID].Abort()
+		}
+	}})
+	obj = New(sys, NewFastPath(sys, core.NewLogStar(sys, k)))
+	res := sys.Run(adv, func(h shm.Handle) {
+		hs[h.ID()] = h
+		vs[h.ID()], aborted[h.ID()] = obj.TASAbortable(h)
+	})
+	ctx := fmt.Sprintf("seed %d", seed)
+	zeros, aborts := 0, 0
+	for pid := 0; pid < k; pid++ {
+		if !res.Finished[pid] {
+			t.Fatalf("%s: process %d did not finish", ctx, pid)
+		}
+		if vs[pid] == 0 {
+			zeros++
+		}
+		if aborted[pid] {
+			aborts++
+			if vs[pid] == 0 {
+				t.Fatalf("%s: process %d returned 0 from an aborted call", ctx, pid)
+			}
+			if wroteDone[pid] {
+				t.Fatalf("%s: aborted process %d wrote the done register", ctx, pid)
+			}
+		}
+	}
+	if zeros > 1 {
+		t.Fatalf("%s: %d calls returned 0 (aborted %v)", ctx, zeros, aborted)
+	}
+	if aborts == 0 && zeros != 1 {
+		t.Fatalf("%s: no call aborted yet %d returned 0, want 1", ctx, zeros)
 	}
 }
