@@ -1,7 +1,8 @@
 // RMR accounting on the real-memory backend: unit tests for the CC/DSM
 // charging rules and the recycling property test — an object recycled by
 // Space.Reset must report the same outcomes, step and RMR counts and
-// coin use as a fresh one for the same seeds, over every inner elector.
+// coin use as a fresh one for the same seeds, over every inner elector,
+// and an abortable entry with no abort set the same as the plain one.
 package concurrent_test
 
 import (
@@ -185,11 +186,16 @@ func TestRMRAccountingSurvivesReset(t *testing.T) {
 // electorBuilder allocates a leader election for n processes on s.
 type electorBuilder func(s shm.Space, n int) tas.LeaderElector
 
-// object names a builder of one object for n processes on s. The
-// builder returns the entry an arena slot runs, reporting a win.
+// entries are an object's two entries, each reporting a win: abortable,
+// the one an arena slot runs (called with no abort set), and plain.
+type entries struct {
+	abortable, plain func(h shm.Handle) bool
+}
+
+// object names a builder of one object for n processes on s.
 type object struct {
 	name  string
-	build func(s shm.Space, n int) func(h shm.Handle) bool
+	build func(s shm.Space, n int) entries
 }
 
 func doorwayOver(inner electorBuilder) electorBuilder {
@@ -197,16 +203,22 @@ func doorwayOver(inner electorBuilder) electorBuilder {
 }
 
 func fastPathOver(inner electorBuilder) object {
-	return object{"fastpath", func(s shm.Space, n int) func(h shm.Handle) bool {
+	return object{"fastpath", func(s shm.Space, n int) entries {
 		f := tas.NewFastPath(s, inner(s, n))
-		return func(h shm.Handle) bool { won, _ := f.ElectAbortable(h); return won }
+		return entries{
+			abortable: func(h shm.Handle) bool { won, _ := f.ElectAbortable(h); return won },
+			plain:     f.Elect,
+		}
 	}}
 }
 
 func tasOver(le electorBuilder) object {
-	return object{"tas", func(s shm.Space, n int) func(h shm.Handle) bool {
+	return object{"tas", func(s shm.Space, n int) entries {
 		tt := tas.New(s, le(s, n))
-		return func(h shm.Handle) bool { v, _ := tt.TASAbortable(h); return v == 0 }
+		return entries{
+			abortable: func(h shm.Handle) bool { v, _ := tt.TASAbortable(h); return v == 0 },
+			plain:     func(h shm.Handle) bool { return tt.TAS(h) == 0 },
+		}
 	}}
 }
 
@@ -227,21 +239,28 @@ var (
 	}
 )
 
-// doorwayCases are the objects an arena slot can hold: FastPath over
-// each inner elector, and TAS over that doorway; and "tas-ratrace", TAS
-// straight over RatRace with no doorway, whose abortable entry falls
-// back to the plain TAS.
+// doorwayCases are the objects an arena slot can hold:
+//
+//   - FastPath over each inner elector, and TAS over that doorway;
+//   - "fastpath-logstar" and "tas-fastpath": the doorway over log*, on
+//     its own and under TAS, with the plain entry also kept on one space
+//     that Space.Reset recycles between rounds;
+//   - "tas-ratrace": TAS straight over RatRace, with no doorway, whose
+//     abortable entry falls back to the plain TAS.
 var doorwayCases = []struct {
-	name    string
-	objects []object
+	name          string
+	recycledPlain bool
+	objects       []object
 }{
-	{"logstar", overDoorway(logStar)},
-	{"sifting", overDoorway(sifting)},
-	{"adaptive-sifting", overDoorway(adaptiveSifting)},
-	{"agtv", overDoorway(agtvTournament)},
-	{"ratrace", overDoorway(ratRace)},
-	{"combined", overDoorway(combined)},
-	{"tas-ratrace", []object{tasOver(ratRace)}},
+	{"logstar", false, overDoorway(logStar)},
+	{"sifting", false, overDoorway(sifting)},
+	{"adaptive-sifting", false, overDoorway(adaptiveSifting)},
+	{"agtv", false, overDoorway(agtvTournament)},
+	{"ratrace", false, overDoorway(ratRace)},
+	{"combined", false, overDoorway(combined)},
+	{"fastpath-logstar", true, []object{fastPathOver(logStar)}},
+	{"tas-fastpath", true, []object{tasOver(doorwayOver(logStar))}},
+	{"tas-ratrace", false, []object{tasOver(ratRace)}},
 }
 
 // handleCosts is one handle's observable outcome: whether it won, its
@@ -253,21 +272,26 @@ type handleCosts struct {
 	next           int
 }
 
-// sequentialCosts runs k handles one after another through an object's
-// entry, in one round per seed. Each round gets the object on a fresh
-// RMR-counting space, or, if recycled, the object stays on one space and
-// Space.Reset returns it to its initial state before the next round.
-func sequentialCosts(build func(s shm.Space, n int) func(h shm.Handle) bool, k int, seeds []int64, recycled bool) [][]handleCosts {
+// sequentialCosts runs k handles one after another through an object,
+// each through the abortable entry or each through the plain one, in one
+// round per seed. Each round gets the object on a fresh RMR-counting
+// space, or, if recycled, the object stays on one space and Space.Reset
+// returns it to its initial state before the next round.
+func sequentialCosts(build func(s shm.Space, n int) entries, k int, seeds []int64, recycled, abortable bool) [][]handleCosts {
 	var s *concurrent.Space
-	var elect func(h shm.Handle) bool
+	var e entries
 	rounds := make([][]handleCosts, len(seeds))
 	for r, seed := range seeds {
 		if s != nil && recycled {
 			s.Reset()
 		} else {
 			s = concurrent.NewSpaceConfig(concurrent.Config{CountRMRs: true})
-			elect = build(s, k)
+			e = build(s, k)
 			s.Seal()
+		}
+		elect := e.plain
+		if abortable {
+			elect = e.abortable
 		}
 		costs := make([]handleCosts, k)
 		for id := range costs {
@@ -283,25 +307,33 @@ func sequentialCosts(build func(s shm.Space, n int) func(h shm.Handle) bool, k i
 // TestRecycledMatchesFreshCostsAcrossZoo pins recycling to construction:
 // every object in the zoo, kept on one space that Space.Reset recycles
 // between rounds as an arena slot is, must cost exactly what a fresh
-// object does. In every case 16 handles run one after another on an
+// object does through the abortable entry. With no abort set, that
+// entry must also cost exactly what the plain entry (FastPath.Elect,
+// TAS.TAS) does, on a fresh object or, in the recycledPlain cases, a
+// recycled one. In every case 16 handles run one after another on an
 // RMR-counting space, for 5 seeds, and every handle must see the same
-// outcome, steps, CC and DSM RMRs and coin-stream state on both, with
-// exactly one winner per round. Sequential handles make both executions
-// deterministic, and the charging rules are exact for them.
+// outcome, steps, CC and DSM RMRs and coin-stream state on all three,
+// with exactly one winner per round. Sequential handles make the
+// executions deterministic, and the charging rules are exact for them.
 func TestRecycledMatchesFreshCostsAcrossZoo(t *testing.T) {
 	const k = 16
 	seeds := []int64{1, 2, 3, 4, 5}
 	for _, c := range doorwayCases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, obj := range c.objects {
-				recycled := sequentialCosts(obj.build, k, seeds, true)
-				fresh := sequentialCosts(obj.build, k, seeds, false)
+				recycled := sequentialCosts(obj.build, k, seeds, true, true)
+				fresh := sequentialCosts(obj.build, k, seeds, false, true)
+				plain := sequentialCosts(obj.build, k, seeds, c.recycledPlain, false)
 				for r, seed := range seeds {
 					winners := 0
 					for id := range recycled[r] {
 						if recycled[r][id] != fresh[r][id] {
 							t.Fatalf("%s seed %d handle %d: recycled %+v != fresh %+v",
 								obj.name, seed, id, recycled[r][id], fresh[r][id])
+						}
+						if recycled[r][id] != plain[r][id] {
+							t.Fatalf("%s seed %d handle %d: abortable %+v != plain %+v",
+								obj.name, seed, id, recycled[r][id], plain[r][id])
 						}
 						if recycled[r][id].won {
 							winners++
