@@ -1,19 +1,16 @@
 package sim
 
-import (
-	"testing"
-
-	"repro/internal/rng"
-)
+import "testing"
 
 // Regression for the review finding: per-process coin streams must not be
 // shifted copies of each other.
 func TestProcStreamsDecorrelated(t *testing.T) {
 	draw := func(pid, count int) []uint64 {
-		g := rng.New(procSeed(42, pid)) // the root of pid's handle stream
+		sys := NewSystem(Config{N: 8, Seed: 42})
+		h := &sys.procs[pid].h // the handle bind gave pid
 		out := make([]uint64, count)
 		for i := range out {
-			out[i] = g.Next()
+			out[i] = uint64(h.Intn(1 << 62)) // the stream's top 62 bits
 		}
 		return out
 	}
