@@ -169,8 +169,10 @@ func checkSafety(t *testing.T, ex execution, aborts [2]int, ctx string) {
 // every pair of 3-bit coin tapes, 2^8 · 2^6 = 16384 executions, and each
 // of those with every pair of abort points: none, or after the process's
 // j-th step for every j up to the depth. An abort point the process does
-// not reach is never raised, so its execution is the one without it:
-// those, and every later point, are skipped.
+// not reach is never raised, so its execution is the one without it, and
+// every later point is unreachable too: p0's loop stops at the first
+// point p0 does not reach, p1's at the first point p1 reaches in none of
+// p0's runs.
 func TestExhaustiveShallow(t *testing.T) {
 	const schedBits, tapeBits = 8, 3
 	b := newBounded()
@@ -187,13 +189,18 @@ func TestExhaustiveShallow(t *testing.T) {
 				tapeFromBits(tb>>tapeBits, tapeBits),
 			}
 			for a1 := noAbort; a1 <= turns[1]; a1++ {
+				reached1 := false
 				for a0 := noAbort; a0 <= turns[0]; a0++ {
 					aborts := [2]int{a0, a1}
 					ex := b.run(sched, tapes, aborts)
 					checkSafety(t, ex, aborts, "shallow")
+					reached1 = reached1 || ex.steps[1] >= a1
 					if ex.steps[0] < a0 {
 						break // p0's abort was never raised
 					}
+				}
+				if !reached1 {
+					break // p1's abort was never raised
 				}
 			}
 		}
