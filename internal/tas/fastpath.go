@@ -63,13 +63,8 @@ func NewFastPath(s shm.Space, inner LeaderElector) *FastPath {
 
 // Elect implements LeaderElector.
 func (f *FastPath) Elect(h shm.Handle) bool {
-	if f.sp.Split(h) == splitter.Stop {
-		return f.final.Elect(h, 0)
-	}
-	if f.inner.Elect(h) {
-		return f.final.Elect(h, 1)
-	}
-	return false
+	won, _ := f.elect(h, false)
+	return won
 }
 
 // ElectAbortable is Elect plus an abort protocol. It returns (won,
@@ -105,17 +100,27 @@ func (f *FastPath) Elect(h shm.Handle) bool {
 // other contender exists the round ends winnerless, which the (false,
 // true) return makes the caller account for.
 func (f *FastPath) ElectAbortable(h shm.Handle) (won, aborted bool) {
-	if h.Aborting() {
+	return f.elect(h, true)
+}
+
+// elect is the one body of Elect and ElectAbortable; abortable turns on
+// the doorway's abort polls and the final's.
+func (f *FastPath) elect(h shm.Handle, abortable bool) (won, aborted bool) {
+	if abortable && h.Aborting() {
 		return false, true
 	}
-	if f.sp.Split(h) == splitter.Stop {
-		return f.final.ElectAbortable(h, 0)
+	slot := 0
+	if f.sp.Split(h) != splitter.Stop {
+		if abortable && h.Aborting() {
+			return false, true
+		}
+		if !f.inner.Elect(h) {
+			return false, false
+		}
+		slot = 1
 	}
-	if h.Aborting() {
-		return false, true
+	if abortable {
+		return f.final.ElectAbortable(h, slot)
 	}
-	if f.inner.Elect(h) {
-		return f.final.ElectAbortable(h, 1)
-	}
-	return false, false
+	return f.final.Elect(h, slot), false
 }

@@ -49,14 +49,8 @@ func New(s shm.Space, le LeaderElector) *TAS {
 // TAS sets the bit and returns its previous value (0 for the unique
 // winner, 1 for everyone else). Each process calls TAS at most once.
 func (t *TAS) TAS(h shm.Handle) int {
-	if h.Read(t.done) == 1 {
-		return 1
-	}
-	if t.le.Elect(h) {
-		return 0
-	}
-	h.Write(t.done, 1)
-	return 1
+	v, _ := t.tas(h, false)
+	return v
 }
 
 // TASAbortable is TAS over the doorway (a FastPath elector) plus an
@@ -78,20 +72,28 @@ func (t *TAS) TAS(h shm.Handle) int {
 // internal/arena). Without the doorway underneath, the call falls back
 // to running TAS to completion (aborted == false).
 func (t *TAS) TASAbortable(h shm.Handle) (v int, aborted bool) {
-	if t.fp == nil {
-		return t.TAS(h), false
-	}
-	if h.Aborting() {
+	return t.tas(h, t.fp != nil)
+}
+
+// tas is the one body of TAS and TASAbortable; abortable turns on the
+// abort polls and elects through the doorway's abortable entry.
+func (t *TAS) tas(h shm.Handle, abortable bool) (v int, aborted bool) {
+	if abortable && h.Aborting() {
 		return 1, true
 	}
 	if h.Read(t.done) == 1 {
 		return 1, false
 	}
-	won, ab := t.fp.ElectAbortable(h)
+	var won bool
+	if abortable {
+		won, aborted = t.fp.ElectAbortable(h)
+	} else {
+		won = t.le.Elect(h)
+	}
 	if won {
 		return 0, false
 	}
-	if ab {
+	if aborted {
 		return 1, true
 	}
 	h.Write(t.done, 1)
