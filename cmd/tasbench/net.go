@@ -65,10 +65,10 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"text/tabwriter"
 	"time"
 
 	randtas "repro"
-	"repro/internal/harness"
 	"repro/internal/server"
 	"repro/tasclient"
 )
@@ -298,20 +298,19 @@ func runNet(cfg netConfig) error {
 	}
 	outstanding := int64(st.Arena.Hits+st.Arena.Steals+st.Arena.Misses) - int64(st.Arena.Puts)
 
-	tbl := harness.Table{
-		Title:   "tasd loopback: sustained lock traffic over TCP (protocol v3)",
-		Headers: []string{"algorithm", "scenario", "ops", "ops/sec", "wait p50", "wait p99", "rounds", "expiries", "fenced", "aborts", "slots out", "violations"},
-		Notes: []string{
-			"ops counts ACQUIRE and RELEASE individually; wait = batch round-trip over the wire.",
-			"violations = server-side token-keyed owner check failures (must be 0).",
-			"aborts = waiters cancelled through the elector; slots out = live arena slots after the run (one per lock).",
-		},
-	}
-	tbl.AddRow(algo.String(), cfg.scenario, ops, fmt.Sprintf("%.0f", opsPerSec),
-		percentile(rtts, 0.50).Round(time.Microsecond).String(),
-		percentile(rtts, 0.99).Round(time.Microsecond).String(),
+	fmt.Println("== tasd loopback: sustained lock traffic over TCP (protocol v3) ==")
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "algorithm\tscenario\tops\tops/sec\twait p50\twait p99\trounds\texpiries\tfenced\taborts\tslots out\tviolations")
+	fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f\t%v\t%v\t%d\t%d\t%d\t%d\t%d\t%d\n",
+		algo, cfg.scenario, ops, opsPerSec,
+		percentile(rtts, 0.50).Round(time.Microsecond), percentile(rtts, 0.99).Round(time.Microsecond),
 		rounds, st.LeaseExpirations, fenced, st.Aborts, outstanding, st.Violations)
-	fmt.Println(tbl.String())
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	fmt.Print("note: ops counts ACQUIRE and RELEASE individually; wait = batch round-trip over the wire.\n" +
+		"note: violations = server-side token-keyed owner check failures (must be 0).\n" +
+		"note: aborts = waiters cancelled through the elector; slots out = live arena slots after the run (one per lock).\n\n")
 	if cfg.scenario == "flood" {
 		offered := granted + shed
 		fmt.Printf("flood: offered %d ACQUIREs (%.0f/sec), goodput %d (%.0f/sec), shed %d (%.1f%% — client) / %d (server), "+

@@ -132,7 +132,7 @@ const noOwner int32 = -1
 type Register struct {
 	v       atomic.Int64
 	init    Value
-	bankMap *atomic.Uint64 // the owning bank's dirty bitmap; nil = untracked
+	bankMap *atomic.Uint64 // the owning bank's dirty bitmap
 	id      int32
 	dirty   atomic.Int32 // set on first Write since the last Reset
 
@@ -177,13 +177,14 @@ type bank struct {
 // initial value, so the whole footprint can be restored with Reset. This
 // is the reuse hook the arena subsystem builds on: one-shot objects
 // become recyclable by resetting their register space between rounds
-// instead of re-allocating it.
+// instead of re-allocating it. Every space, whatever its footprint,
+// tracks its dirty window, so Reset rewrites only the registers written
+// since the previous Reset.
 type Space struct {
 	cfg    Config
 	banks  []*bank
 	n      int
 	sealed bool
-	small  bool // set at Seal: footprint below smallSpaceThreshold
 }
 
 // Config parameterizes a Space beyond its register contents.
@@ -198,14 +199,6 @@ type Config struct {
 	// their production cost.
 	CountRMRs bool
 }
-
-// smallSpaceThreshold is the footprint below which dirty-window tracking
-// is a net loss: the window costs up to three extra atomic ops per first
-// write of a register per round, which only pays off when Reset gets to
-// skip many untouched registers. Sealing a space at or below the
-// threshold disables tracking; its Reset just sweeps the whole (tiny)
-// footprint.
-const smallSpaceThreshold = 16
 
 var _ AnySpace = (*Space)(nil)
 
@@ -253,20 +246,8 @@ func (s *Space) alloc(init Value) *Register {
 }
 
 // Seal marks construction complete: any further NewRegister call is a
-// programming error and panics. Sealing is idempotent. Sealing also
-// fixes the reset strategy: small footprints opt out of dirty-window
-// tracking (see smallSpaceThreshold).
-func (s *Space) Seal() {
-	if !s.sealed && s.n <= smallSpaceThreshold {
-		s.small = true
-		for _, b := range s.banks {
-			for i := 0; i < b.used; i++ {
-				b.regs[i].bankMap = nil // writes skip window maintenance
-			}
-		}
-	}
-	s.sealed = true
-}
+// programming error and panics. Sealing is idempotent.
+func (s *Space) Seal() { s.sealed = true }
 
 // Sealed reports whether the space has been sealed.
 func (s *Space) Sealed() bool { return s.sealed }
@@ -293,17 +274,6 @@ func (s *Space) Banks() int { return len(s.banks) }
 func (s *Space) Reset() {
 	if s.cfg.CountRMRs {
 		s.resetAccounting()
-	}
-	if s.small {
-		// Untracked small footprint: a bare value sweep, no dirty flags
-		// to consult or clear.
-		for _, b := range s.banks {
-			for i := 0; i < b.used; i++ {
-				r := &b.regs[i]
-				r.v.Store(r.init)
-			}
-		}
-		return
 	}
 	for _, b := range s.banks {
 		m := b.dirtyMap.Load()
@@ -447,16 +417,15 @@ func (h *Handle) chargeRead(r *Register) {
 // WriteReg is the devirtualized Write: one atomic store plus dirty-window
 // maintenance. The register's dirty flag lives on the register's own
 // cache line — which the store just claimed exclusively — and the shared
-// bank map is touched at most once per register per round (and never for
-// untracked small spaces), so the tracking adds no coherence traffic on
-// the hot path. One step.
+// bank map is touched at most once per register per round, so the
+// tracking adds no coherence traffic on the hot path. One step.
 func (h *Handle) WriteReg(r *Register, v Value) {
 	h.steps++
 	if r.acct {
 		h.chargeWrite(r)
 	}
 	r.v.Store(v)
-	if r.bankMap != nil && r.dirty.Load() == 0 {
+	if r.dirty.Load() == 0 {
 		r.dirty.Store(1)
 		// Explicit CAS, not bankMap.Or: the go1.24.0 Or intrinsic
 		// miscompiles (receiver clobbered by its internal CAS loop) —

@@ -55,8 +55,6 @@ type SimClock struct {
 
 	onStep func(now time.Duration)
 
-	traceOn   bool
-	trace     []string
 	traceHash uint64 // FNV-1a over every fired event's trace line
 	fired     uint64
 
@@ -83,19 +81,6 @@ func NewSimClock() *SimClock {
 // clock and service state but must not park (no Sleep, no blocking
 // fabric calls). Set it before spawning actors.
 func (c *SimClock) OnStep(f func(now time.Duration)) { c.onStep = f }
-
-// RecordTrace enables full trace capture (one line per fired event) in
-// addition to the always-on rolling hash. Call before spawning actors.
-func (c *SimClock) RecordTrace(on bool) { c.traceOn = on }
-
-// Trace returns the captured event lines (nil unless RecordTrace(true)).
-func (c *SimClock) Trace() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, len(c.trace))
-	copy(out, c.trace)
-	return out
-}
 
 // TraceHash returns the rolling hash over all fired events and the
 // event count. Two runs with the same seed must agree on both.
@@ -435,9 +420,9 @@ func (c *SimClock) popRunnableLocked() *event {
 	return nil
 }
 
-// recordLocked folds the fired event into the trace hash (and the full
-// trace when enabled). The line contains only deterministic inputs:
-// fire index, virtual time, and the label built at schedule time.
+// recordLocked folds the fired event's trace line into the trace hash.
+// The line contains only deterministic inputs: fire index, virtual time,
+// and the label built at schedule time.
 func (c *SimClock) recordLocked(e *event) {
 	c.fired++
 	line := fmt.Sprintf("%06d +%dus %s", c.fired, (e.at-simEpoch.UnixNano())/1000, e.label)
@@ -447,9 +432,6 @@ func (c *SimClock) recordLocked(e *event) {
 		h *= 1099511628211 // FNV-1a 64 prime
 	}
 	c.traceHash = h
-	if c.traceOn {
-		c.trace = append(c.trace, line)
-	}
 }
 
 // deadlockLocked handles the every-actor-parked, no-event-pending state:

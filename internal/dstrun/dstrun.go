@@ -106,11 +106,11 @@ type scenario struct {
 	// step runs on every scheduler step after the common checks, and
 	// settle once the traffic has quiesced, before the drain.
 	step, settle func(r *run)
-	// evict expects idle names to be evicted (MaxIdle defaults on) and
-	// an evicted name to be usable afresh.
+	// evict expects idle names to be evicted and an evicted name to be
+	// usable afresh.
 	evict bool
-	// quiesce is storm-style: eviction defaults off, and the arena's
-	// slot population must return to baseline once the traffic stops.
+	// quiesce is storm-style: eviction is off, and the arena's slot
+	// population must return to baseline once the traffic stops.
 	quiesce bool
 }
 
@@ -169,26 +169,28 @@ const (
 	overloadInboundLimit = 1024
 )
 
+// The shape every run shares: the number of lock or elect client
+// actors, the server's lease sweep (the traffic's lease TTLs derive from
+// it) and its eviction threshold. Eviction is on except in the quiesce
+// scenarios: it restarts a name's token sequence, which would blunt the
+// storm's token-monotonicity-across-abort check, and the storm keeps its
+// names hot anyway.
+const (
+	numClients = 4
+	sweep      = 2 * time.Millisecond
+	maxIdle    = 15 * sweep
+)
+
 // Config parameterizes one simulated run. The zero value of every
 // field picks a sensible default.
 type Config struct {
 	Seed     uint64
-	Clients  int      // lock/elect client actors (default 4)
 	Ops      int      // operations per client (default 40)
 	Scenario Scenario // default ScenarioMixed
-	// LeaseSweep is the server's sweep interval (default 2ms); lease
-	// TTLs used by the traffic are derived from it.
-	LeaseSweep time.Duration
-	// MaxIdle is the server's eviction threshold (default 15×sweep for
-	// scenarios with lock traffic; set negative to disable).
-	MaxIdle time.Duration
 	// Faults configures the fabric. A zero value gets modest link
 	// delays (fault-free otherwise); pass an explicit mix for drops,
 	// duplicates, corruption or resets.
 	Faults dst.Faults
-	// Trace records the full event trace in the report (expensive;
-	// TraceHash is always computed).
-	Trace bool
 }
 
 // Report is one run's deterministic outcome: same Config (and binary)
@@ -241,34 +243,17 @@ type Report struct {
 
 	// Errors are invariant violations; empty means the run passed.
 	Errors []string
-	// Trace is the full event trace when Config.Trace was set.
-	Trace []string
 }
 
 // Failed reports whether the run broke an invariant.
 func (r Report) Failed() bool { return len(r.Errors) > 0 || r.Violations > 0 }
 
 func withDefaults(cfg Config) Config {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
-	}
 	if cfg.Ops <= 0 {
 		cfg.Ops = 40
 	}
 	if cfg.Scenario == "" {
 		cfg.Scenario = ScenarioMixed
-	}
-	if cfg.LeaseSweep <= 0 {
-		cfg.LeaseSweep = 2 * time.Millisecond
-	}
-	if cfg.MaxIdle == 0 {
-		cfg.MaxIdle = 15 * cfg.LeaseSweep
-		if scenarios[cfg.Scenario].quiesce {
-			// Eviction restarts a name's token sequence, which would
-			// blunt the storm's token-monotonicity-across-abort check;
-			// the storm keeps its names hot anyway.
-			cfg.MaxIdle = -1
-		}
 	}
 	if cfg.Faults == (dst.Faults{}) {
 		cfg.Faults = dst.Faults{
@@ -292,7 +277,6 @@ type run struct {
 	clientsDone atomic.Int64
 	actorCount  int64
 	kaActive    atomic.Int64
-	wantEvict   bool
 	// strict enables the expectation checks that only hold on a
 	// fault-free (delays-only) fabric: byte-level corruption can morph
 	// a frame into a different valid request, and injected resets kill
@@ -393,7 +377,6 @@ func Run(cfg Config) (Report, error) {
 		return Report{}, fmt.Errorf("dstrun: unknown scenario %q (want one of %v)", cfg.Scenario, Scenarios)
 	}
 	clk := dst.NewSimClock()
-	clk.RecordTrace(cfg.Trace)
 	fab := dst.NewFabric(clk, cfg.Seed)
 	fab.SetFaults(cfg.Faults)
 	ln, err := fab.Listen("tasd")
@@ -404,12 +387,13 @@ func Run(cfg Config) (Report, error) {
 	r := &run{cfg: cfg, sc: sc, clk: clk, fab: fab, mon: newMonitor(cfg.Seed, cfg.Scenario)}
 	r.strict = cfg.Faults.DropProb == 0 && cfg.Faults.DupProb == 0 &&
 		cfg.Faults.CorruptProb == 0 && cfg.Faults.ResetProb == 0
-	r.wantEvict = cfg.MaxIdle > 0 && sc.evict
 	scfg := sc.envelope
-	scfg.MaxClients = 2*cfg.Clients + 8
+	scfg.MaxClients = 2*numClients + 8
 	scfg.Seed = int64(cfg.Seed + 0x5eed)
-	scfg.LeaseSweep = cfg.LeaseSweep
-	scfg.MaxIdle = max(cfg.MaxIdle, 0)
+	scfg.LeaseSweep = sweep
+	if !sc.quiesce {
+		scfg.MaxIdle = maxIdle
+	}
 	scfg.Clock = clk
 	scfg.Listener = ln
 	srv, err := server.New(scfg)
@@ -440,7 +424,6 @@ func Run(cfg Config) (Report, error) {
 	ov := srv.Overload()
 	rep.Shed, rep.DeadlineExpired = ov.Shed, ov.DeadlineExpired
 	rep.SlowClientEvictions, rep.QueueDepthHighWater = ov.SlowClientEvictions, ov.QueueDepthHighWater
-	rep.Trace = clk.Trace()
 	return rep, nil
 }
 
@@ -453,9 +436,9 @@ func (r *run) spawn(f func()) {
 	})
 }
 
-// clients spawns f(i) for each of the Config.Clients client actors.
+// clients spawns f(i) for each of the numClients client actors.
 func (r *run) clients(f func(i int)) {
-	for i := 0; i < r.cfg.Clients; i++ {
+	for i := 0; i < numClients; i++ {
 		r.spawn(func() { f(i) })
 	}
 }
@@ -470,7 +453,7 @@ func (r *run) check(time.Duration) {
 		r.sc.step(r)
 	}
 	nowNano := r.clk.Now().UnixNano()
-	bound := int64(2 * r.cfg.LeaseSweep)
+	bound := int64(2 * sweep)
 	var evicted map[string]uint64 // per-name eviction counts, read once a lock is held
 	r.srv.VisitLocks(func(name string, owner uint64, lease int64) {
 		if owner == 0 {
@@ -526,14 +509,14 @@ func (r *run) coordinator() {
 	for r.clientsDone.Load() < r.actorCount || r.kaActive.Load() > 0 {
 		r.clk.Sleep(500 * time.Microsecond)
 	}
-	if r.wantEvict {
+	if r.sc.evict {
 		// Eviction needs two passes over an unchanged counter
 		// signature, at least MaxIdle apart; the server runs a pass
 		// every MaxIdle.
-		r.clk.Sleep(3*r.cfg.MaxIdle + 2*r.cfg.LeaseSweep)
+		r.clk.Sleep(3*maxIdle + 2*sweep)
 		if r.strict && r.srv.Registry().Evictions() == 0 {
 			r.mon.errOnce("evict", "no eviction after %v of idleness (MaxIdle %v)",
-				3*r.cfg.MaxIdle, r.cfg.MaxIdle)
+				3*maxIdle, maxIdle)
 		}
 		// An evicted name must come back fresh and usable.
 		r.reacquire("eph0", "evict-reuse", "reacquiring evicted name")
@@ -627,7 +610,7 @@ func (r *run) checkSlotQuiescence() {
 			}
 			return
 		}
-		r.clk.Sleep(r.cfg.LeaseSweep)
+		r.clk.Sleep(sweep)
 	}
 }
 
@@ -735,12 +718,11 @@ func (r *run) reacquire(name, key, what string) {
 func (r *run) lockClient(i int, full bool) {
 	g := rng.New(r.cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(i+1)))
 	ctx := context.Background()
-	sweep := r.cfg.LeaseSweep
 	kaDone := false
 	r.loop(func(cl *simClient, k int) bool {
 		// Touch the ephemeral names once so the eviction pass has idle
 		// candidates with history.
-		if k == 0 && full && r.wantEvict {
+		if k == 0 && full && r.sc.evict {
 			name := fmt.Sprintf("eph%d", i%3)
 			if tok, ok, err := cl.op().TryAcquire(ctx, name, 0); err == nil && ok {
 				cl.op().Release(ctx, name, tok)
@@ -915,7 +897,7 @@ func (r *run) electClient(i int) {
 			r.mon.inc(&r.mon.Redials)
 			cl = r.dial(true, opBudget)
 		}
-		r.clk.Sleep(time.Duration(g.Intn(int(r.cfg.LeaseSweep))))
+		r.clk.Sleep(time.Duration(g.Intn(int(sweep))))
 	}
 	if cl != nil {
 		cl.Close()
@@ -955,7 +937,6 @@ func (r *run) electOnce(cl *simClient, g *rng.SplitMix64, who int) bool {
 // live client links, on the seeded schedule.
 func (r *run) chaosActor() {
 	g := rng.New(r.cfg.Seed ^ 0x94d049bb133111eb)
-	sweep := r.cfg.LeaseSweep
 	for k := 0; k < r.cfg.Ops/2; k++ {
 		r.clk.Sleep(time.Duration(int(sweep)/2 + g.Intn(int(2*sweep))))
 		r.mon.mu.Lock()
@@ -1004,7 +985,6 @@ const stormLongHold = 60 * time.Millisecond
 // waiters mid-wait rather than at the next round handover.
 func (r *run) stormHolder(i int) {
 	g := rng.New(r.cfg.Seed ^ (0xd6e8feb86659fd93 * uint64(i+1)))
-	sweep := r.cfg.LeaseSweep
 	r.loop(func(cl *simClient, _ int) bool {
 		name := fmt.Sprintf("lock%d", g.Intn(2))
 		tok, err := cl.op().Acquire(context.Background(), name, 0)
@@ -1035,7 +1015,6 @@ func (r *run) stormHolder(i int) {
 func (r *run) stormClient(i int) {
 	g := rng.New(r.cfg.Seed ^ (0xa5a3564e1fb5e152 * uint64(i+1)))
 	ctx := context.Background()
-	sweep := r.cfg.LeaseSweep
 	for op := 0; op < r.cfg.Ops; op++ {
 		cl := r.dial(true, opBudget)
 		if cl == nil {
@@ -1106,7 +1085,6 @@ const overloadDeadlineBound = 12
 // BUSY — it just backs off and tries again.
 func (r *run) overloadHolder(i int) {
 	g := rng.New(r.cfg.Seed ^ (0xd6e8feb86659fd93 * uint64(i+1)))
-	sweep := r.cfg.LeaseSweep
 	r.loop(func(cl *simClient, _ int) bool {
 		name := fmt.Sprintf("load%d", g.Intn(2))
 		tok, err := cl.op().Acquire(context.Background(), name, 0)
@@ -1137,7 +1115,6 @@ func (r *run) overloadHolder(i int) {
 // envelope saturated.
 func (r *run) overloadFlood(i int) {
 	g := rng.New(r.cfg.Seed ^ (0xbf58476d1ce4e5b9 * uint64(i+3)))
-	sweep := r.cfg.LeaseSweep
 	r.loop(func(cl *simClient, _ int) bool {
 		name := fmt.Sprintf("load%d", g.Intn(2))
 		wait := time.Duration(int(sweep) + g.Intn(int(3*sweep)))
@@ -1178,7 +1155,6 @@ func (r *run) overloadFlood(i int) {
 // held lock for the fresh, well-behaved client that asks next.
 func (r *run) overloadSlowReader() {
 	ctx := context.Background()
-	sweep := r.cfg.LeaseSweep
 	cl := r.dial(false, opBudget)
 	if cl == nil {
 		return

@@ -33,7 +33,7 @@ func (r *run) fuzzActor(idx int) {
 			drain(nc, r.clk, 2*time.Millisecond)
 		}
 		nc.Close()
-		r.clk.Sleep(time.Duration(100 + g.Intn(int(r.cfg.LeaseSweep))))
+		r.clk.Sleep(time.Duration(100 + g.Intn(int(sweep))))
 	}
 }
 

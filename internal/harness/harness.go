@@ -1,7 +1,6 @@
 // Package harness runs the paper-reproduction experiments: it drives
 // algorithms under chosen adversaries on the simulator and aggregates
-// step statistics for the sweeps of cmd/tasbench's claims table, and it
-// formats fixed-width text tables.
+// step statistics for the sweeps of cmd/tasbench's claims table.
 //
 // The trial driver (Run) shards a cell's Monte Carlo trials across worker
 // goroutines, each owning one pooled simulator System that is
@@ -17,7 +16,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -240,69 +238,4 @@ func maxQuantiles(xs []int) (mean float64, p95, worst int) {
 	sorted := append([]int(nil), xs...)
 	sort.Ints(sorted)
 	return float64(sum) / float64(len(xs)), sorted[(len(sorted)*95)/100], sorted[len(sorted)-1]
-}
-
-// Table is a simple fixed-width text table.
-type Table struct {
-	Title   string
-	Headers []string
-	Rows    [][]string
-	Notes   []string
-}
-
-// AddRow appends a row of cells formatted with %v.
-func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
-// String renders the table.
-func (t *Table) String() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "== %s ==\n", t.Title)
-	}
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
 }

@@ -188,23 +188,3 @@ func TestTrialSeedMapping(t *testing.T) {
 		t.Errorf("TrialSeed(5, 3) = %d", TrialSeed(5, 3))
 	}
 }
-
-func TestTableFormatting(t *testing.T) {
-	tbl := Table{
-		Title:   "demo",
-		Headers: []string{"k", "value"},
-		Notes:   []string{"a note"},
-	}
-	tbl.AddRow(8, 3.14159)
-	tbl.AddRow(1024, "x")
-	out := tbl.String()
-	for _, want := range []string{"== demo ==", "k", "value", "3.14", "1024", "note: a note"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table output missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 6 {
-		t.Errorf("unexpected line count %d:\n%s", len(lines), out)
-	}
-}

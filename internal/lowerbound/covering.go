@@ -43,8 +43,9 @@ type CoveringResult struct {
 // obstruction-free as in the proof.
 //
 // The construction maintains a partition of the processes into groups
-// (merged whenever one process sees another, tracked through the
-// simulator's visibility hook), one covering representative per group, and
+// (merged whenever one process sees another: a read of a register the
+// other process last wrote, observed from the simulator's StepHook), one
+// covering representative per group, and
 // schedules rounds so that after round k no register is covered by more
 // than n−k representatives. After n−4 rounds every register is covered by
 // at most 4 representatives, so the surviving Groups force at least
@@ -52,14 +53,12 @@ type CoveringResult struct {
 func RunCovering(n int, seed int64, setup func(s shm.Space) func(h shm.Handle)) CoveringResult {
 	res := CoveringResult{N: n}
 	uf := unionfind.New(n)
-	cfg := sim.Config{
-		N:    n,
-		Seed: seed,
-		SeeHook: func(reader, seen int) {
-			uf.Union(reader, seen)
-		},
-	}
-	sys := sim.NewSystem(cfg)
+	var sys *sim.System
+	sys = sim.NewSystem(sim.Config{N: n, Seed: seed, StepHook: func(ev sim.StepEvent) {
+		if w := sys.LastWriter(ev.Reg); ev.Kind == sim.OpRead && w >= 0 {
+			uf.Union(ev.PID, w)
+		}
+	}})
 	body := setup(sys)
 	sys.Start(body)
 	defer sys.Close()

@@ -380,12 +380,6 @@ func (r *SpaceEfficient) ElectWithProgress(h shm.Handle, prog *Progress) bool {
 // path — impossible for ≤ n participants by Claim 3.1; asserted by tests.
 func (r *SpaceEfficient) BackupFellOff() bool { return r.backupFellOff.Load() }
 
-// PathCount returns the number of leaf-block elimination paths.
-func (r *SpaceEfficient) PathCount() int { return len(r.paths) }
-
-// TreeHeight returns the primary tree height (⌈log n⌉).
-func (r *SpaceEfficient) TreeHeight() int { return r.tree.height }
-
 // ceilLog2 returns ⌈log₂ n⌉ for n ≥ 1.
 func ceilLog2(n int) int {
 	l, p := 0, 1

@@ -336,14 +336,6 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe() error {
-	if err := s.Listen(); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
 // Serve accepts connections until the listener closes. It returns nil
 // when the close was a Shutdown, the accept error otherwise.
 func (s *Server) Serve() error {
@@ -580,9 +572,6 @@ func (s *Server) VisitLocks(f func(name string, owner uint64, leaseDeadline int6
 		return true
 	})
 }
-
-// CoarseNow reports the sweeper-maintained coarse clock in unix nanos.
-func (s *Server) CoarseNow() int64 { return s.coarseNow.Load() }
 
 // OverloadStats is a snapshot of the admission-control and backpressure
 // counters, for tests and the dst overload invariants.

@@ -36,7 +36,8 @@ func TestGoldenTraceUnchangedByRMRAccounting(t *testing.T) {
 // with counters on and off, including across a Reset.
 func TestRealCoinsUnchangedByRMRAccounting(t *testing.T) {
 	run := func(count bool) ([]int, []shm.Value, int) {
-		sys := NewSystem(Config{N: 6, Seed: 11, RecordSchedule: true, Reuse: true, CountRMRs: count})
+		var sched []int
+		sys := NewSystem(Config{N: 6, Seed: 11, Reuse: true, CountRMRs: count, StepHook: recordSchedule(&sched)})
 		defer sys.Release()
 		regs := shm.NewRegisterArray(sys, 5, 0)
 		body := func(h shm.Handle) {
@@ -50,12 +51,13 @@ func TestRealCoinsUnchangedByRMRAccounting(t *testing.T) {
 		}
 		sys.Run(NewRandomOblivious(3), body)
 		sys.Reset(11)
+		sched = sched[:0]
 		res := sys.Run(NewRandomOblivious(3), body)
 		vals := make([]shm.Value, len(regs))
 		for i := range regs {
 			vals[i] = sys.Value(regs[i].RegisterID())
 		}
-		return append([]int(nil), sys.Schedule()...), vals, res.TotalSteps
+		return sched, vals, res.TotalSteps
 	}
 	sOff, vOff, stepsOff := run(false)
 	sOn, vOn, stepsOn := run(true)

@@ -232,11 +232,10 @@ type Config struct {
 	// A Reuse System must be Release()d when abandoned; without Reuse
 	// the System is single-shot and Close reclaims everything.
 	Reuse bool
-	// RecordSchedule keeps the granted pid sequence for replay (used by
-	// the Section 5 lower-bound machinery). Off by default to keep large
-	// sweeps cheap.
-	RecordSchedule bool
-	// StepHook, if non-nil, is invoked after every executed step.
+	// StepHook, if non-nil, is invoked after every executed step. It is
+	// the one observation hook: a caller records the schedule from
+	// ev.PID, and a read step sees the process LastWriter(ev.Reg)
+	// reports (the paper's "p sees q"; a read never changes it).
 	StepHook func(StepEvent)
 	// CoinFunc, if non-nil, overrides the outcome of every Handle.Coin
 	// call. It enables exhaustive model checking over coin outcomes
@@ -245,9 +244,6 @@ type Config struct {
 	// IntnFunc, if non-nil, overrides the outcome of every Handle.Intn
 	// call; it must return a value in [0, n).
 	IntnFunc func(pid, n int) int
-	// SeeHook, if non-nil, is invoked when a read observes a register on
-	// which some process is visible (the paper's "p sees q" relation).
-	SeeHook func(reader, seen int)
 	// CountRMRs enables per-process remote-memory-reference accounting
 	// in both the cache-coherent and distributed-shared-memory models
 	// (see chargeRMRs for the charging rules; CCRMRsOf/DSMRMRsOf and
@@ -268,7 +264,6 @@ type System struct {
 	touched   []*register // registers read or written in this execution
 	procs     []*proc
 	tape      *concurrent.CoinTape // CoinFunc and IntnFunc; nil if neither is set
-	schedule  []int
 	time      int
 	parked    int
 	started   bool
@@ -397,9 +392,6 @@ func (s *System) Step(pid int) StepEvent {
 	case OpRead:
 		ev.Val = op.reg.val
 		op.reg.reads++
-		if s.cfg.SeeHook != nil && op.reg.writer >= 0 {
-			s.cfg.SeeHook(pid, op.reg.writer)
-		}
 	case OpWrite:
 		op.reg.val = op.val
 		op.reg.writer = pid
@@ -412,9 +404,6 @@ func (s *System) Step(pid int) StepEvent {
 	p.steps++
 	p.state = stateCreated // transiently neither parked nor done
 	s.parked--
-	if s.cfg.RecordSchedule {
-		s.schedule = append(s.schedule, pid)
-	}
 	if s.cfg.StepHook != nil {
 		s.cfg.StepHook(ev)
 	}
@@ -525,7 +514,6 @@ func (s *System) Reset(seed int64) {
 		r.home = -1
 	}
 	s.touched = s.touched[:0]
-	s.schedule = s.schedule[:0]
 	s.time = 0
 	s.parked = 0
 	s.cfg.Seed = seed
@@ -563,9 +551,6 @@ func (s *System) Parked(pid int) bool { return s.procs[pid].state == stateParked
 
 // Finished reports whether pid's body returned normally.
 func (s *System) Finished(pid int) bool { return s.procs[pid].state == stateDone }
-
-// ParkedCount returns the number of processes currently parked.
-func (s *System) ParkedCount() int { return s.parked }
 
 // Time returns the number of executed steps.
 func (s *System) Time() int { return s.time }
@@ -621,12 +606,4 @@ func (s *System) Pending(pid int) (kind OpKind, reg int, val shm.Value, ok bool)
 		return OpUnknown, -1, 0, false
 	}
 	return p.pending.kind, p.pending.reg.id, p.pending.val, true
-}
-
-// Schedule returns the recorded grant sequence (requires
-// Config.RecordSchedule). The returned slice is a copy.
-func (s *System) Schedule() []int {
-	out := make([]int, len(s.schedule))
-	copy(out, s.schedule)
-	return out
 }

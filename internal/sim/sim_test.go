@@ -10,12 +10,19 @@ import (
 	"repro/internal/shm"
 )
 
+// recordSchedule returns a StepHook that appends every granted pid to
+// *sched.
+func recordSchedule(sched *[]int) func(StepEvent) {
+	return func(ev StepEvent) { *sched = append(*sched, ev.PID) }
+}
+
 // TestDeterminism verifies that identical seeds and adversaries produce
 // identical executions — the property every experiment in this repository
 // relies on.
 func TestDeterminism(t *testing.T) {
 	run := func() ([]int, []shm.Value) {
-		sys := NewSystem(Config{N: 8, Seed: 42, RecordSchedule: true})
+		var sched []int
+		sys := NewSystem(Config{N: 8, Seed: 42, StepHook: recordSchedule(&sched)})
 		regs := shm.NewRegisterArray(sys, 4, 0)
 		res := sys.Run(NewRandomOblivious(7), func(h shm.Handle) {
 			for i := 0; i < 5; i++ {
@@ -31,7 +38,7 @@ func TestDeterminism(t *testing.T) {
 		for i := range regs {
 			vals[i] = sys.Value(regs[i].RegisterID())
 		}
-		return sys.Schedule(), vals
+		return sched, vals
 	}
 	s1, v1 := run()
 	s2, v2 := run()
@@ -187,7 +194,9 @@ func TestResetReplaysIdentically(t *testing.T) {
 		vals     []shm.Value
 		steps    []int
 	}
+	var sched []int // the running execution's grants
 	run := func(sys *System, regs []shm.Register) outcome {
+		sched = nil
 		res := sys.Run(NewRandomOblivious(123), func(h shm.Handle) {
 			for i := 0; i < 6; i++ {
 				slot := h.Intn(len(regs))
@@ -199,7 +208,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 				}
 			}
 		})
-		out := outcome{schedule: sys.Schedule(), steps: res.Steps}
+		out := outcome{schedule: sched, steps: res.Steps}
 		for _, r := range regs {
 			out.vals = append(out.vals, sys.Value(r.RegisterID()))
 		}
@@ -207,12 +216,12 @@ func TestResetReplaysIdentically(t *testing.T) {
 	}
 
 	fresh := func(seed int64) outcome {
-		sys := NewSystem(Config{N: 6, Seed: seed, RecordSchedule: true})
+		sys := NewSystem(Config{N: 6, Seed: seed, StepHook: recordSchedule(&sched)})
 		regs := shm.NewRegisterArray(sys, 4, 7)
 		return run(sys, regs)
 	}
 
-	pooled := NewSystem(Config{N: 6, Seed: 0, Reuse: true, RecordSchedule: true})
+	pooled := NewSystem(Config{N: 6, Seed: 0, Reuse: true, StepHook: recordSchedule(&sched)})
 	defer pooled.Release()
 	pregs := shm.NewRegisterArray(pooled, 4, 7)
 
@@ -247,7 +256,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 // register values (including non-zero ones), visibility, counters, and
 // liveness flags.
 func TestResetRestoresState(t *testing.T) {
-	sys := NewSystem(Config{N: 2, Seed: 1, Reuse: true, RecordSchedule: true})
+	sys := NewSystem(Config{N: 2, Seed: 1, Reuse: true})
 	defer sys.Release()
 	r := sys.NewRegister(5)
 	q := sys.NewRegister(-3)
@@ -271,9 +280,6 @@ func TestResetRestoresState(t *testing.T) {
 	}
 	if sys.Time() != 0 || sys.MaxSteps() != 0 || sys.CoinsOf(0) != 0 {
 		t.Errorf("counters not cleared: time=%d max=%d coins=%d", sys.Time(), sys.MaxSteps(), sys.CoinsOf(0))
-	}
-	if len(sys.Schedule()) != 0 {
-		t.Errorf("schedule not cleared: %v", sys.Schedule())
 	}
 	if sys.Finished(0) || sys.Parked(0) {
 		t.Error("process liveness not cleared by Reset")
@@ -380,12 +386,16 @@ func TestAtomicity(t *testing.T) {
 	}
 }
 
-// TestLastWriterAndSeeHook exercises the visibility bookkeeping the
-// Section 5 lower-bound machinery depends on.
-func TestLastWriterAndSeeHook(t *testing.T) {
+// TestLastWriterSees exercises the visibility bookkeeping the Section 5
+// lower-bound machinery depends on: a read step sees the register's last
+// writer, as RunCovering observes it from its StepHook.
+func TestLastWriterSees(t *testing.T) {
 	var seen [][2]int
-	sys := NewSystem(Config{N: 2, Seed: 1, SeeHook: func(reader, w int) {
-		seen = append(seen, [2]int{reader, w})
+	var sys *System
+	sys = NewSystem(Config{N: 2, Seed: 1, StepHook: func(ev StepEvent) {
+		if w := sys.LastWriter(ev.Reg); ev.Kind == OpRead && w >= 0 {
+			seen = append(seen, [2]int{ev.PID, w})
+		}
 	}})
 	r := sys.NewRegister(0)
 	if sys.LastWriter(r.RegisterID()) != -1 {
@@ -413,30 +423,45 @@ func TestLastWriterAndSeeHook(t *testing.T) {
 }
 
 // TestPendingVisibility checks each adversary class sees exactly what the
-// paper's definitions allow.
+// paper's definitions allow: the pending step's kind, register and value,
+// and the past steps (step counts and register contents) that every class
+// but the oblivious one observes.
 func TestPendingVisibility(t *testing.T) {
 	sys := NewSystem(Config{N: 1, Seed: 1})
 	r0 := sys.NewRegister(0)
 	r1 := sys.NewRegister(0)
-	_ = r0
 	sys.Start(func(h shm.Handle) {
+		h.Write(r0, 5)
 		h.Write(r1, 9)
 	})
 	defer sys.Close()
+	sys.Step(0) // past: r0 = 5; pending: the write of 9 to r1
 
 	cases := []struct {
-		vis      Visibility
-		wantKind OpKind
-		wantReg  int
-		wantVal  bool
+		vis       Visibility
+		wantKind  OpKind
+		wantReg   int
+		wantVal   bool
+		wantSteps int
+		wantPast  bool // register contents visible
 	}{
-		{VisibilityOblivious, OpUnknown, -1, false},
-		{VisibilityLocation, OpWrite, -1, true},
-		{VisibilityRW, OpUnknown, 1, false},
-		{VisibilityAdaptive, OpWrite, 1, true},
+		{VisibilityOblivious, OpUnknown, -1, false, 0, false},
+		{VisibilityLocation, OpWrite, -1, true, 1, true},
+		{VisibilityRW, OpUnknown, 1, false, 1, true},
+		{VisibilityAdaptive, OpWrite, 1, true, 1, true},
 	}
 	for _, tc := range cases {
 		v := View{sys: sys, vis: tc.vis}
+		if got := v.Steps(0); got != tc.wantSteps {
+			t.Errorf("%v: steps = %d, want %d", tc.vis, got, tc.wantSteps)
+		}
+		wantR0 := shm.Value(0)
+		if tc.wantPast {
+			wantR0 = 5
+		}
+		if got, ok := v.RegisterValue(r0.RegisterID()); got != wantR0 || ok != tc.wantPast {
+			t.Errorf("%v: r0 = (%d, %v), want (%d, %v)", tc.vis, got, ok, wantR0, tc.wantPast)
+		}
 		if got := v.PendingKind(0); got != tc.wantKind {
 			t.Errorf("%v: kind = %v, want %v", tc.vis, got, tc.wantKind)
 		}
