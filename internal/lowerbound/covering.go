@@ -45,11 +45,11 @@ type CoveringResult struct {
 // The construction maintains a partition of the processes into groups
 // (merged whenever one process sees another: a read of a register the
 // other process last wrote, observed from the simulator's StepHook), one
-// covering representative per group, and
-// schedules rounds so that after round k no register is covered by more
-// than n−k representatives. After n−4 rounds every register is covered by
-// at most 4 representatives, so the surviving Groups force at least
-// Groups/4 distinct covered registers.
+// covering representative per group, and schedules rounds so that after
+// round k no register is covered by more than n−k representatives. After
+// n−4 rounds every register is covered by at most 4 representatives, so
+// the surviving Groups force at least Groups/4 distinct covered
+// registers.
 func RunCovering(n int, seed int64, setup func(s shm.Space) func(h shm.Handle)) CoveringResult {
 	res := CoveringResult{N: n}
 	uf := unionfind.New(n)

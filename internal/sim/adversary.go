@@ -296,9 +296,9 @@ func (r *RandomOblivious) Next(v View) int {
 }
 
 // FixedSchedule replays an explicit pid sequence, then stops. Scheduling a
-// non-parked pid skips that entry. It is oblivious by construction and is
-// used for replaying recorded executions and for the Section 6 lower-bound
-// schedule enumeration.
+// non-parked pid skips that entry. It is oblivious by construction; tests
+// use it to script an execution step by step, such as the splitter's
+// exhaustive two-process schedule enumeration.
 type FixedSchedule struct {
 	seq []int
 	pos int
