@@ -4,8 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/concurrent"
 	"repro/internal/core"
+	"repro/internal/ratrace"
 	"repro/internal/shm"
+	"repro/internal/tas"
 )
 
 // TestGoldenTraceUnchangedByRMRAccounting is the satellite regression
@@ -169,4 +172,106 @@ func TestRMRDisabledStaysZero(t *testing.T) {
 	if res.TotalCCRMRs != 0 || res.TotalDSMRMRs != 0 || res.MaxCCRMRs != 0 || res.MaxDSMRMRs != 0 {
 		t.Fatalf("Result carries RMR aggregates with accounting disabled: %+v", res)
 	}
+}
+
+// TestBackendsChargeAlike is the differential test of the two backends:
+// every step of a simulated execution, recorded from the StepHook with
+// RMR accounting on, is replayed on a counting concurrent.Space through
+// ReadReg and WriteReg, and each process's steps, CC RMRs and DSM RMRs
+// must agree in every run. The objects are TAS over the log* doorway,
+// space-efficient RatRace and the sifting chain, at k = 2, 5 and 16,
+// under random-oblivious and lockstep. The replay keeps one handle per
+// pid across runs and both sides are Reset between runs, so a cache
+// entry or a line that outlives its round shows too. Result's maxima and
+// totals are checked against its per-process entries.
+func TestBackendsChargeAlike(t *testing.T) {
+	objects := []struct {
+		name  string
+		build func(s shm.Space, n int) func(h shm.Handle)
+	}{
+		{"tas-logstar-doorway", func(s shm.Space, n int) func(h shm.Handle) {
+			tt := tas.New(s, tas.NewFastPath(s, core.NewLogStar(s, n)))
+			return func(h shm.Handle) { tt.TAS(h) }
+		}},
+		{"ratrace-se", func(s shm.Space, n int) func(h shm.Handle) {
+			le := ratrace.NewSpaceEfficient(s, n)
+			return func(h shm.Handle) { le.Elect(h) }
+		}},
+		{"sifting", func(s shm.Space, n int) func(h shm.Handle) {
+			le := core.NewSifting(s, n)
+			return func(h shm.Handle) { le.Elect(h) }
+		}},
+	}
+	adversaries := []struct {
+		name string
+		new  func(run int) Adversary
+	}{
+		{"random-oblivious", func(run int) Adversary { return NewRandomOblivious(int64(run)) }},
+		{"lockstep", func(int) Adversary { return NewLockstep() }},
+	}
+	type costs struct{ steps, cc, dsm int }
+	const runs = 30
+	var total costs
+	for _, obj := range objects {
+		for _, k := range []int{2, 5, 16} {
+			for _, adv := range adversaries {
+				var trace []StepEvent
+				sys := NewSystem(Config{N: k, Seed: 1, Reuse: true, CountRMRs: true,
+					StepHook: func(ev StepEvent) { trace = append(trace, ev) }})
+				body := obj.build(sys, k)
+				space := concurrent.NewSpaceConfig(concurrent.Config{CountRMRs: true})
+				regs := make([]*concurrent.Register, sys.RegisterCount())
+				for i := range regs {
+					regs[i] = space.NewRegister(sys.Value(i)).(*concurrent.Register)
+				}
+				space.Seal()
+				handles := make([]*concurrent.Handle, k)
+				for pid := range handles {
+					handles[pid] = concurrent.NewHandle(pid, 0)
+				}
+				for run := range runs {
+					if run > 0 {
+						sys.Reset(int64(run + 1))
+						space.Reset()
+					}
+					trace = trace[:0]
+					res := sys.Run(adv.new(run), body)
+					before := make([]costs, k)
+					for pid, h := range handles {
+						before[pid] = costs{h.Steps(), h.CCRMRs(), h.DSMRMRs()}
+					}
+					for _, ev := range trace {
+						h, r := handles[ev.PID], regs[ev.Reg]
+						if ev.Kind == OpWrite {
+							h.WriteReg(r, ev.Val)
+						} else {
+							h.ReadReg(r)
+						}
+					}
+					var maxima, sums costs
+					for pid, h := range handles {
+						got := costs{h.Steps() - before[pid].steps, h.CCRMRs() - before[pid].cc, h.DSMRMRs() - before[pid].dsm}
+						want := costs{res.Steps[pid], res.CCRMRs[pid], res.DSMRMRs[pid]}
+						if got != want {
+							t.Fatalf("%s k=%d %s run %d p%d: replay charged (steps, CC, DSM) = %v, simulator %v",
+								obj.name, k, adv.name, run, pid, got, want)
+						}
+						maxima = costs{max(maxima.steps, want.steps), max(maxima.cc, want.cc), max(maxima.dsm, want.dsm)}
+						sums = costs{sums.steps + want.steps, sums.cc + want.cc, sums.dsm + want.dsm}
+					}
+					if res.MaxSteps != maxima.steps || res.MaxCCRMRs != maxima.cc || res.MaxDSMRMRs != maxima.dsm {
+						t.Fatalf("%s k=%d %s run %d: Result maxima (%d, %d, %d), per-process entries give %v",
+							obj.name, k, adv.name, run, res.MaxSteps, res.MaxCCRMRs, res.MaxDSMRMRs, maxima)
+					}
+					if res.TotalSteps != sums.steps || res.TotalCCRMRs != sums.cc || res.TotalDSMRMRs != sums.dsm {
+						t.Fatalf("%s k=%d %s run %d: Result totals (%d, %d, %d), per-process entries give %v",
+							obj.name, k, adv.name, run, res.TotalSteps, res.TotalCCRMRs, res.TotalDSMRMRs, sums)
+					}
+					total = costs{total.steps + sums.steps, total.cc + sums.cc, total.dsm + sums.dsm}
+				}
+				sys.Release()
+			}
+		}
+	}
+	t.Logf("replayed %d steps, %d CC and %d DSM RMRs", total.steps, total.cc, total.dsm)
 }
