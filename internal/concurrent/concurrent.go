@@ -57,18 +57,23 @@
 //     caches, which is why spin loops that are free under CC cost one
 //     RMR per iteration here.
 //
-// Accounting state lives in the otherwise-padding bytes of each
-// register's cache line and is consulted only behind a per-register
-// flag fixed at allocation, so spaces without Config.CountRMRs pay one
-// never-taken branch per step on data already in the line being
-// accessed — the step loops are otherwise unchanged (BenchmarkMutex /
-// BenchmarkSpaceReset guard this). With accounting on, counts are exact
-// for sequentially executed handles (the property-test and sweep
-// configuration); truly concurrent handles update the bookkeeping with
+// A register's coherence state is a Line. It lives in the
+// otherwise-padding bytes of the register's cache line and is consulted
+// only behind a per-register flag fixed at allocation, so spaces without
+// Config.CountRMRs pay one never-taken branch per step on data already
+// in the line being accessed — the step loops are otherwise unchanged
+// (BenchmarkMutex / BenchmarkSpaceReset guard this). The counters and
+// the CC cache, which is keyed by line, belong to the Handle.
+//
+// These rules are the repository's one cost model. The simulator embeds
+// a Line in each of its registers and reports every step it executes
+// through Handle.Took, which counts the step and charges the line with
+// the same code as ReadReg and WriteReg; a simulated process's steps and
+// RMRs are read off its handle. With accounting on, counts are exact for
+// sequentially executed handles (the simulator, the property tests and
+// the sweeps); truly concurrent handles update the bookkeeping with
 // atomics but the read-decide-charge sequence is not one transaction,
-// so concurrent counts are approximate. The per-handle CC cache is
-// keyed by register id, so exact CC accounting also assumes a handle
-// measures registers of one accounting Space at a time.
+// so concurrent counts are approximate.
 package concurrent
 
 import (
@@ -113,20 +118,16 @@ const cacheLine = 64
 // exactly one bit per register in the bank's uint64 dirty map.
 const bankSize = 64
 
-// noOwner is the "no handle" sentinel of the RMR-accounting ownership
-// words (last CC writer, DSM home).
-const noOwner int32 = -1
-
 // Register is one atomic 64-bit shared register, padded to a full cache
 // line so that processes contending on neighbouring registers of the
 // same object never false-share. Registers live inside the banks of the
 // Space that allocated them; their addresses are stable for the life of
 // the Space.
 //
-// The four accounting words (ver, lastW, home, shared) occupy bytes
-// that were previously padding, so the register still fills exactly one
-// line; they are only ever touched when acct is set (Config.CountRMRs),
-// keeping the default hot path's coherence behaviour unchanged.
+// The embedded Line occupies bytes that were previously padding, so the
+// register still fills exactly one line; it is only ever touched when
+// acct is set (Config.CountRMRs), keeping the default hot path's
+// coherence behaviour unchanged.
 //
 //taslint:cacheline
 type Register struct {
@@ -135,13 +136,8 @@ type Register struct {
 	bankMap *atomic.Uint64 // the owning bank's dirty bitmap
 	id      int32
 	dirty   atomic.Int32 // set on first Write since the last Reset
-
-	// RMR-accounting state (see the package comment), live iff acct:
-	ver    atomic.Uint32 // write version; bumped per Write and per Reset
-	lastW  atomic.Int32  // CC: last writer's handle id, or noOwner
-	home   atomic.Int32  // DSM: first accessor's handle id, or noOwner
-	shared atomic.Uint32 // CC: nonzero once a non-writer read the line
-	acct   bool
+	Line                 // RMR-accounting state, live iff acct
+	acct    bool
 
 	_ [cacheLine - 49]byte
 }
@@ -151,6 +147,30 @@ var _ [cacheLine]byte = [unsafe.Sizeof(Register{})]byte{}
 
 // RegisterID implements AnyRegister.
 func (r *Register) RegisterID() int { return int(r.id) }
+
+// Line is the coherence state of one register's cache line: what the RMR
+// charging rules (see the package comment) read and update. Owners are
+// stored as handle id + 1, so the zero Line is untouched: never written,
+// homed nowhere, shared by nobody. A Register embeds one; so does a
+// simulated register, whose steps Handle.Took charges.
+type Line struct {
+	ver    atomic.Uint32 // write version; bumped per write and per Release
+	lastW  atomic.Int32  // CC: last writer's handle id + 1, or 0
+	home   atomic.Int32  // DSM: first accessor's handle id + 1, or 0
+	shared atomic.Uint32 // CC: nonzero once a non-writer read the line
+}
+
+// Release returns the line to untouched for the next round: no CC
+// writer, no DSM home, unshared. It also bumps the write version, so a
+// handle's CC cache entry recorded before the release can never match
+// the recycled line (versions are monotone; an entry matches only the
+// exact write it observed).
+func (l *Line) Release() {
+	l.lastW.Store(0)
+	l.home.Store(0)
+	l.shared.Store(0)
+	l.ver.Add(1)
+}
 
 // bank is one contiguous cache-line-padded block of registers plus the
 // block's dirty window: a 64-bit map with one bit per register, set on
@@ -209,10 +229,6 @@ func NewSpace() *Space { return &Space{} }
 // NewSpaceConfig returns an empty register space with the given Config.
 func NewSpaceConfig(cfg Config) *Space { return &Space{cfg: cfg} }
 
-// CountsRMRs reports whether the space's registers charge RMR counters
-// (Config.CountRMRs).
-func (s *Space) CountsRMRs() bool { return s.cfg.CountRMRs }
-
 // NewRegister implements AnySpace. It panics if the space has been
 // sealed: register footprints are fixed up front (the paper's space
 // accounting), and with the bank layout a late allocation would race
@@ -235,11 +251,7 @@ func (s *Space) alloc(init Value) *Register {
 	r.init = init
 	r.bankMap = &b.dirtyMap
 	r.v.Store(init)
-	if s.cfg.CountRMRs {
-		r.acct = true
-		r.lastW.Store(noOwner)
-		r.home.Store(noOwner)
-	}
+	r.acct = s.cfg.CountRMRs
 	b.used = off + 1
 	s.n++
 	return r
@@ -249,16 +261,9 @@ func (s *Space) alloc(init Value) *Register {
 // programming error and panics. Sealing is idempotent.
 func (s *Space) Seal() { s.sealed = true }
 
-// Sealed reports whether the space has been sealed.
-func (s *Space) Sealed() bool { return s.sealed }
-
 // Registers returns the number of registers allocated so far (the space
 // complexity of the constructed objects).
 func (s *Space) Registers() int { return s.n }
-
-// Banks returns the number of contiguous register banks backing the
-// space — the allocation count of the whole register footprint.
-func (s *Space) Banks() int { return len(s.banks) }
 
 // Reset restores every register written since the previous Reset to its
 // initial value, returning all objects built on this space to their
@@ -291,23 +296,15 @@ func (s *Space) Reset() {
 	}
 }
 
-// resetAccounting returns every register's RMR-accounting state to
-// pristine — no CC writer, no DSM home, unshared — and bumps the write
-// version so that handle-side CC cache entries recorded before the
-// Reset can never be mistaken for the recycled line being still valid
-// (versions are monotone; an entry matches only the exact write it
-// observed). Accounting resets sweep the full footprint regardless of
-// the dirty window: reads leave accounting traces (home claims, shared
-// marks, cache entries) without dirtying a register, and accounting
-// spaces are measurement instruments, not hot paths.
+// resetAccounting releases every register's line (Line.Release).
+// Accounting resets sweep the full footprint regardless of the dirty
+// window: reads leave accounting traces (home claims, shared marks,
+// cache entries) without dirtying a register, and accounting spaces are
+// measurement instruments, not hot paths.
 func (s *Space) resetAccounting() {
 	for _, b := range s.banks {
-		for i := 0; i < b.used; i++ {
-			r := &b.regs[i]
-			r.lastW.Store(noOwner)
-			r.home.Store(noOwner)
-			r.shared.Store(0)
-			r.ver.Add(1)
+		for i := range b.used {
+			b.regs[i].Release()
 		}
 	}
 }
@@ -326,12 +323,12 @@ type Handle struct {
 	coins int
 	tape  *CoinTape // nil unless coin outcomes are overridden
 
-	// RMR accounting (live only against Config.CountRMRs spaces): the
-	// two model counters plus the CC cache — the write version of each
-	// register id this handle last pulled into its simulated cache.
+	// RMR accounting (live only on counted lines): the two model
+	// counters plus the CC cache — the write version of each line this
+	// handle last pulled into its simulated cache.
 	ccRMRs  int
 	dsmRMRs int
-	cache   []uint32
+	cache   map[*Line]uint32
 
 	// aborted is the cancellation flag consulted by abortable step
 	// loops. Unlike every other Handle field it may be written from
@@ -370,7 +367,7 @@ func NewHandle(id int, seed int64) *Handle {
 // Read and Write goes to s, coins come from the splitmix64 stream rooted
 // at stream unless tape overrides them, and the counters and the abort
 // flag start from zero. Rebinding rewinds the handle for another
-// execution. Steps are counted by the scheduler, not by h.
+// execution. The scheduler reports each step it takes through Took.
 func (h *Handle) Bind(id int, s Scheduler, stream uint64, tape *CoinTape) {
 	h.id, h.steps, h.sched, h.rng, h.coins, h.tape = id, 0, s, rng.New(stream), 0, tape
 	h.ccRMRs, h.dsmRMRs = 0, 0
@@ -388,29 +385,45 @@ func (h *Handle) ID() int { return h.id }
 func (h *Handle) ReadReg(r *Register) Value {
 	h.steps++
 	if r.acct {
-		h.chargeRead(r)
+		h.chargeRead(&r.Line)
 	}
 	return r.v.Load()
 }
 
-// chargeRead applies the RMR charging rules to a read of r (see the
+// Took counts one step that h's scheduler took: a write if write is set,
+// otherwise a read. A non-nil l is the stepped register's line, charged
+// by the same rules as ReadReg and WriteReg; the simulator passes nil
+// unless it counts RMRs.
+func (h *Handle) Took(l *Line, write bool) {
+	h.steps++
+	if l == nil {
+		return
+	}
+	if write {
+		h.chargeWrite(l)
+	} else {
+		h.chargeRead(l)
+	}
+}
+
+// chargeRead applies the RMR charging rules to a read of l (see the
 // package comment). Deliberately not inlined into ReadReg's hot path.
-func (h *Handle) chargeRead(r *Register) {
-	me := int32(h.id)
+func (h *Handle) chargeRead(l *Line) {
+	me := int32(h.id) + 1
 	// DSM: the first accessor claims the line into its memory segment;
 	// everyone else's accesses are remote, re-reads included.
-	if home := r.home.Load(); home != me && (home != noOwner || !r.home.CompareAndSwap(noOwner, me)) {
+	if home := l.home.Load(); home != me && (home != 0 || !l.home.CompareAndSwap(0, me)) {
 		h.dsmRMRs++
 	}
 	// CC: remote iff another handle wrote the line since this handle
 	// last cached it. Re-reads of an unchanged line are local (the spin
 	// case); lines never written carry no coherence traffic at all.
-	if lw := r.lastW.Load(); lw != noOwner && lw != me {
-		if ver := r.ver.Load(); h.cached(r.id) != ver {
+	if lw := l.lastW.Load(); lw != 0 && lw != me {
+		if ver := l.ver.Load(); h.cache[l] != ver {
 			h.ccRMRs++
-			h.setCached(r.id, ver)
+			h.setCached(l, ver)
 		}
-		r.shared.Store(1)
+		l.shared.Store(1)
 	}
 }
 
@@ -422,7 +435,7 @@ func (h *Handle) chargeRead(r *Register) {
 func (h *Handle) WriteReg(r *Register, v Value) {
 	h.steps++
 	if r.acct {
-		h.chargeWrite(r)
+		h.chargeWrite(&r.Line)
 	}
 	r.v.Store(v)
 	if r.dirty.Load() == 0 {
@@ -440,42 +453,33 @@ func (h *Handle) WriteReg(r *Register, v Value) {
 	}
 }
 
-// chargeWrite applies the RMR charging rules to a write of r (see the
+// chargeWrite applies the RMR charging rules to a write of l (see the
 // package comment). Deliberately not inlined into WriteReg's hot path.
-func (h *Handle) chargeWrite(r *Register) {
-	me := int32(h.id)
-	if home := r.home.Load(); home != me && (home != noOwner || !r.home.CompareAndSwap(noOwner, me)) {
+func (h *Handle) chargeWrite(l *Line) {
+	me := int32(h.id) + 1
+	if home := l.home.Load(); home != me && (home != 0 || !l.home.CompareAndSwap(0, me)) {
 		h.dsmRMRs++
 	}
 	// CC: remote unless the line is already exclusively owned — this
 	// handle wrote it last and nobody read it in between (a sharer's
 	// cached copy would have to be invalidated).
-	if r.lastW.Load() != me || r.shared.Load() != 0 {
+	if l.lastW.Load() != me || l.shared.Load() != 0 {
 		h.ccRMRs++
 	}
-	ver := r.ver.Add(1)
-	r.shared.Store(0)
-	r.lastW.Store(me)
-	h.setCached(r.id, ver)
+	ver := l.ver.Add(1)
+	l.shared.Store(0)
+	l.lastW.Store(me)
+	h.setCached(l, ver)
 }
 
-// cached returns the write version of register id last pulled into this
-// handle's simulated CC cache, or 0 for "never cached" (write versions
-// of written registers are always ≥ 1).
-func (h *Handle) cached(id int32) uint32 {
-	if int(id) >= len(h.cache) {
-		return 0
+// setCached records that this handle's simulated CC cache holds write
+// version ver of l. A line never cached reads 0 from the map, and the
+// version of a written line is always ≥ 1.
+func (h *Handle) setCached(l *Line, ver uint32) {
+	if h.cache == nil {
+		h.cache = make(map[*Line]uint32)
 	}
-	return h.cache[id]
-}
-
-func (h *Handle) setCached(id int32, ver uint32) {
-	if int(id) >= len(h.cache) {
-		grown := make([]uint32, int(id)+1, max(int(id)+1, 2*len(h.cache)))
-		copy(grown, h.cache)
-		h.cache = grown
-	}
-	h.cache[id] = ver
+	h.cache[l] = ver
 }
 
 // Read atomically reads r: one shared-memory step, taken by the
@@ -522,9 +526,9 @@ func (h *Handle) Coin(p float64) bool {
 // this handle has made.
 func (h *Handle) Coins() int { return h.coins }
 
-// Steps returns the number of shared-memory operations this production
-// handle has performed — the same step measure the simulator counts. A
-// scheduled handle's steps are counted by its scheduler.
+// Steps returns the number of shared-memory operations this handle has
+// performed: a production handle counts its own, and a scheduled handle's
+// scheduler reports each step it takes through Took.
 func (h *Handle) Steps() int { return h.steps }
 
 // CCRMRs returns the remote memory references this handle has been

@@ -181,6 +181,24 @@ func TestRMRAccountingSurvivesReset(t *testing.T) {
 	}
 }
 
+// TestRMRCacheTellsSpacesApart: a handle's CC cache must not take a line
+// of one space for a line of another. Every counting space numbers its
+// registers from 0, and an arena MutexProc steps on a different slot's
+// space each round; here register 0 of both spaces sits at write version
+// 1 when b reads it, and each read follows a remote write.
+func TestRMRCacheTellsSpacesApart(t *testing.T) {
+	r1, r2 := acctReg(t, acctSpace(t), 0), acctReg(t, acctSpace(t), 0)
+	a, b := concurrent.NewHandle(0, 1), concurrent.NewHandle(1, 2)
+
+	a.WriteReg(r1, 1)
+	b.ReadReg(r1)
+	a.WriteReg(r2, 1)
+	b.ReadReg(r2)
+	if got := b.CCRMRs(); got != 2 {
+		t.Fatalf("reads after remote writes to two spaces' register 0: %d CC RMRs, want 2", got)
+	}
+}
+
 // --- Recycled objects cost what fresh ones do --------------------------------
 
 // electorBuilder allocates a leader election for n processes on s.

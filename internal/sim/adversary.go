@@ -213,20 +213,21 @@ func (s *System) RunInto(adv Adversary, body func(h shm.Handle), res *Result) {
 	res.MaxCCRMRs, res.MaxDSMRMRs = 0, 0
 	res.TotalCCRMRs, res.TotalDSMRMRs = 0, 0
 	for i, p := range s.procs {
-		res.Steps[i] = p.steps
+		steps, cc, dsm := p.h.Steps(), p.h.CCRMRs(), p.h.DSMRMRs()
+		res.Steps[i] = steps
 		res.Finished[i] = p.state == stateDone
-		if p.steps > res.MaxSteps {
-			res.MaxSteps = p.steps
+		if steps > res.MaxSteps {
+			res.MaxSteps = steps
 		}
-		res.CCRMRs[i] = p.ccRMRs
-		res.DSMRMRs[i] = p.dsmRMRs
-		res.TotalCCRMRs += p.ccRMRs
-		res.TotalDSMRMRs += p.dsmRMRs
-		if p.ccRMRs > res.MaxCCRMRs {
-			res.MaxCCRMRs = p.ccRMRs
+		res.CCRMRs[i] = cc
+		res.DSMRMRs[i] = dsm
+		res.TotalCCRMRs += cc
+		res.TotalDSMRMRs += dsm
+		if cc > res.MaxCCRMRs {
+			res.MaxCCRMRs = cc
 		}
-		if p.dsmRMRs > res.MaxDSMRMRs {
-			res.MaxDSMRMRs = p.dsmRMRs
+		if dsm > res.MaxDSMRMRs {
+			res.MaxDSMRMRs = dsm
 		}
 	}
 }

@@ -113,22 +113,16 @@ type pendingOp struct {
 	val  shm.Value
 }
 
+// register is one simulated register. Its Line is the coherence state
+// that Handle.Took charges, maintained only under Config.CountRMRs;
+// writer is the Section 5 visibility, kept whether or not RMRs count.
 type register struct {
-	id     int
-	val    shm.Value
-	init   shm.Value // construction-time value, restored by Reset
-	writer int       // pid of last writer; -1 if never written ("no process visible")
-	reads  int
-	writes int
-
-	// RMR-accounting state, maintained only under Config.CountRMRs (see
-	// chargeRMRs). ver is monotone for the life of the System — bumped
-	// per write and per Reset of a touched register — so per-process CC
-	// cache entries are invalidated across trials without ever scanning
-	// the caches.
-	ver    int
-	shared bool // CC: some non-writer read the line since its last write
-	home   int  // DSM: pid of the first accessor, or -1
+	concurrent.Line
+	id      int
+	val     shm.Value
+	init    shm.Value // construction-time value, restored by Reset
+	writer  int       // pid of last writer; -1 if never written ("no process visible")
+	touched bool      // read or written in this execution
 }
 
 // RegisterID implements shm.Register.
@@ -156,10 +150,6 @@ type proc struct {
 
 	pending pendingOp // set by the coroutine before it yields
 	state   procState
-	steps   int
-	ccRMRs  int   // remote memory references, cache-coherent model
-	dsmRMRs int   // remote memory references, distributed-shared-memory model
-	cache   []int // CC cache: register id → write version last read
 }
 
 // Step implements concurrent.Scheduler: the handle's Read or Write
@@ -245,12 +235,13 @@ type Config struct {
 	// call; it must return a value in [0, n).
 	IntnFunc func(pid, n int) int
 	// CountRMRs enables per-process remote-memory-reference accounting
-	// in both the cache-coherent and distributed-shared-memory models
-	// (see chargeRMRs for the charging rules; CCRMRsOf/DSMRMRsOf and
-	// the Result fields report the totals). Accounting is bookkeeping
-	// layered on Step: it never influences scheduling, register values,
-	// or coin streams, so the engine-v2 seed→schedule mapping is
-	// byte-identical with the flag on or off (golden-trace tested).
+	// in both the cache-coherent and distributed-shared-memory models:
+	// Step charges each step to the process's handle by concurrent's
+	// rules (Handle.Took), and the Result fields report the counts.
+	// Accounting is bookkeeping layered on Step: it never influences
+	// scheduling, register values, or coin streams, so the engine-v2
+	// seed→schedule mapping is byte-identical with the flag on or off
+	// (golden-trace tested).
 	CountRMRs bool
 }
 
@@ -306,7 +297,7 @@ func (s *System) NewRegister(init shm.Value) shm.Register {
 	if s.started {
 		panic("sim: registers must be allocated before Start")
 	}
-	r := &register{id: len(s.registers), val: init, init: init, writer: -1, home: -1}
+	r := &register{id: len(s.registers), val: init, init: init, writer: -1}
 	s.registers = append(s.registers, r)
 	return r
 }
@@ -339,17 +330,6 @@ func (s *System) Start(body func(h shm.Handle)) {
 		panic("sim: Start on a released System")
 	}
 	s.started = true
-	if s.cfg.CountRMRs {
-		// Size the CC caches to the (now fixed) register footprint. The
-		// slices are reused across Reset cycles without clearing: stale
-		// entries are neutralized by the registers' monotone write
-		// versions, keeping Reset O(steps).
-		for _, p := range s.procs {
-			if len(p.cache) < len(s.registers) {
-				p.cache = make([]int, len(s.registers))
-			}
-		}
-	}
 	for _, p := range s.procs {
 		p.body = body
 		if p.next == nil {
@@ -381,27 +361,27 @@ func (s *System) Step(pid int) StepEvent {
 		panic(fmt.Sprintf("sim: Step(%d) but process is not parked (state %d)", pid, p.state))
 	}
 	op := p.pending
-	if op.reg.reads == 0 && op.reg.writes == 0 {
+	if !op.reg.touched {
+		op.reg.touched = true
 		s.touched = append(s.touched, op.reg)
 	}
+	var line *concurrent.Line
 	if s.cfg.CountRMRs {
-		s.chargeRMRs(p, op)
+		line = &op.reg.Line
 	}
+	p.h.Took(line, op.kind == OpWrite)
 	ev := StepEvent{Time: s.time, PID: pid, Kind: op.kind, Reg: op.reg.id}
 	switch op.kind {
 	case OpRead:
 		ev.Val = op.reg.val
-		op.reg.reads++
 	case OpWrite:
 		op.reg.val = op.val
 		op.reg.writer = pid
-		op.reg.writes++
 		ev.Val = op.val
 	default:
 		panic("sim: invalid pending op")
 	}
 	s.time++
-	p.steps++
 	p.state = stateCreated // transiently neither parked nor done
 	s.parked--
 	if s.cfg.StepHook != nil {
@@ -410,50 +390,6 @@ func (s *System) Step(pid int) StepEvent {
 	p.grant = ev.Val
 	s.resume(p)
 	return ev
-}
-
-// chargeRMRs applies the remote-memory-reference charging rules to the
-// step about to execute, mirroring internal/concurrent's accounting on
-// its padded register banks (here every simulated register is its own
-// line by construction):
-//
-//   - DSM: the first process to access a register claims it into its
-//     memory segment; every access by any other process is remote —
-//     re-reads included, since DSM machines have no caches.
-//   - CC read: remote iff another process wrote the register since the
-//     reader last cached it; the read re-caches the register, so
-//     spinning on an unchanged register is free. Registers never
-//     written cost nothing to read (no coherence traffic).
-//   - CC write: remote unless the writer owns the line exclusively —
-//     it was the last writer and no other process read the register in
-//     between (a sharer's copy would have to be invalidated).
-//
-// Accounting only reads scheduler-side state and only writes accounting
-// fields, so executions are step-for-step identical with it on or off.
-func (s *System) chargeRMRs(p *proc, op pendingOp) {
-	r := op.reg
-	if r.home == -1 {
-		r.home = p.id
-	} else if r.home != p.id {
-		p.dsmRMRs++
-	}
-	switch op.kind {
-	case OpRead:
-		if r.writer >= 0 && r.writer != p.id {
-			if p.cache[r.id] != r.ver {
-				p.ccRMRs++
-				p.cache[r.id] = r.ver
-			}
-			r.shared = true
-		}
-	case OpWrite:
-		if r.writer != p.id || r.shared {
-			p.ccRMRs++
-		}
-		r.ver++
-		r.shared = false
-		p.cache[r.id] = r.ver
-	}
 }
 
 // Kill crashes process pid: its body unwinds and it takes no further
@@ -489,9 +425,10 @@ func (s *System) Close() {
 
 // Reset returns the System to its initial state so it can run another
 // execution: registers touched by the previous execution are restored to
-// their construction-time values, step and coin counters are cleared, and
-// every process's coin stream is reseeded from seed exactly as
-// NewSystem(Config{Seed: seed}) would. The registers, algorithm objects
+// their construction-time values, and under Config.CountRMRs their lines
+// are released (Line.Release); every process's handle is rebound, which
+// clears its step, coin and RMR counters and reseeds its coin stream
+// from seed exactly as NewSystem(Config{Seed: seed}) would. The registers, algorithm objects
 // built on them, and (with Config.Reuse) the process coroutines all
 // survive, so a Reset costs O(steps of the previous execution), not
 // O(space). A running System is Closed first.
@@ -503,15 +440,13 @@ func (s *System) Reset(seed int64) {
 	for _, r := range s.touched {
 		r.val = r.init
 		r.writer = -1
-		r.reads = 0
-		r.writes = 0
-		// Accounting state back to pristine; the version bump strands
-		// every CC cache entry recorded against the old contents, so
-		// the per-process caches need no clearing (versions are
-		// monotone for the System's lifetime).
-		r.ver++
-		r.shared = false
-		r.home = -1
+		r.touched = false
+		if s.cfg.CountRMRs {
+			// The version bump strands every CC cache entry recorded
+			// against the old contents, so the handles' caches need no
+			// clearing.
+			r.Release()
+		}
 	}
 	s.touched = s.touched[:0]
 	s.time = 0
@@ -519,10 +454,7 @@ func (s *System) Reset(seed int64) {
 	s.cfg.Seed = seed
 	for _, p := range s.procs {
 		p.state = stateCreated
-		p.steps = 0
-		p.ccRMRs = 0
-		p.dsmRMRs = 0
-		p.bind(seed)
+		p.bind(seed) // zeroes the handle's step, coin and RMR counters
 	}
 	s.started = false
 	s.closed = false
@@ -555,31 +487,12 @@ func (s *System) Finished(pid int) bool { return s.procs[pid].state == stateDone
 // Time returns the number of executed steps.
 func (s *System) Time() int { return s.time }
 
-// StepsOf returns the number of steps pid has executed.
-func (s *System) StepsOf(pid int) int { return s.procs[pid].steps }
+// StepsOf returns the number of steps pid has executed, counted on its
+// handle.
+func (s *System) StepsOf(pid int) int { return s.procs[pid].h.Steps() }
 
 // CoinsOf returns the number of local coin flips pid has made.
 func (s *System) CoinsOf(pid int) int { return s.procs[pid].h.Coins() }
-
-// CCRMRsOf returns the remote memory references pid has been charged
-// under the cache-coherent model (zero unless Config.CountRMRs).
-func (s *System) CCRMRsOf(pid int) int { return s.procs[pid].ccRMRs }
-
-// DSMRMRsOf returns the remote memory references pid has been charged
-// under the distributed-shared-memory model (zero unless
-// Config.CountRMRs).
-func (s *System) DSMRMRsOf(pid int) int { return s.procs[pid].dsmRMRs }
-
-// MaxSteps returns the maximum per-process step count.
-func (s *System) MaxSteps() int {
-	m := 0
-	for _, p := range s.procs {
-		if p.steps > m {
-			m = p.steps
-		}
-	}
-	return m
-}
 
 // RegisterCount returns the number of allocated registers (the space
 // complexity of the objects constructed on this System).

@@ -278,8 +278,8 @@ func TestResetRestoresState(t *testing.T) {
 	if sys.TouchedRegisters() != 0 {
 		t.Errorf("touched = %d after Reset, want 0", sys.TouchedRegisters())
 	}
-	if sys.Time() != 0 || sys.MaxSteps() != 0 || sys.CoinsOf(0) != 0 {
-		t.Errorf("counters not cleared: time=%d max=%d coins=%d", sys.Time(), sys.MaxSteps(), sys.CoinsOf(0))
+	if sys.Time() != 0 || sys.StepsOf(0) != 0 || sys.StepsOf(1) != 0 || sys.CoinsOf(0) != 0 {
+		t.Errorf("counters not cleared: time=%d steps=%d,%d coins=%d", sys.Time(), sys.StepsOf(0), sys.StepsOf(1), sys.CoinsOf(0))
 	}
 	if sys.Finished(0) || sys.Parked(0) {
 		t.Error("process liveness not cleared by Reset")
