@@ -9,13 +9,40 @@ import (
 	"repro/internal/shm"
 )
 
+// delta returns δ(k+1) = f(k) − f(k+1) for k ≥ 1, as defined in the paper.
+func delta(f []int, k int) int { return f[k] - f[k+1] }
+
+// claim55 evaluates the closed form of Claim 5.5(a):
+//
+//	f(k) = n·(s+1)/2^s − s·(k − n + n/2^s)  for k ∈ I(s),
+//
+// where I(s) = {n − n/2^s, ..., n − n/2^(s+1) − 1}. n must be a power of
+// two and k < n−1. It returns the closed-form value for cross-checking
+// against the recurrence, or -1 if k is out of range.
+func claim55(n, k int) int {
+	// Find s with n − n/2^s ≤ k ≤ n − n/2^(s+1) − 1.
+	s := 0
+	for {
+		lo := n - n/(1<<uint(s))
+		hi := n - n/(1<<uint(s+1)) - 1
+		if k >= lo && k <= hi {
+			break
+		}
+		s++
+		if 1<<uint(s+1) > 2*n {
+			return -1 // k out of range
+		}
+	}
+	return n*(s+1)/(1<<uint(s)) - s*(k-n+n/(1<<uint(s)))
+}
+
 // TestRecurrenceMatchesClaim55 cross-checks the f recurrence against the
 // closed form of Claim 5.5 for powers of two.
 func TestRecurrenceMatchesClaim55(t *testing.T) {
 	for _, n := range []int{8, 16, 64, 256, 1024} {
 		f := F(n, n-2)
 		for k := 0; k < n-2; k++ {
-			want := Claim55(n, k)
+			want := claim55(n, k)
 			if want < 0 {
 				continue
 			}
@@ -49,8 +76,8 @@ func TestSpaceBoundValue(t *testing.T) {
 func TestDeltaNonNegative(t *testing.T) {
 	f := F(64, 60)
 	for k := 1; k < 60; k++ {
-		if Delta(f, k) < 0 {
-			t.Fatalf("δ(%d) = %d < 0", k+1, Delta(f, k))
+		if delta(f, k) < 0 {
+			t.Fatalf("δ(%d) = %d < 0", k+1, delta(f, k))
 		}
 	}
 }

@@ -28,33 +28,6 @@ func F(n, kMax int) []int {
 	return out
 }
 
-// Delta returns δ(k+1) = f(k) − f(k+1) for k ≥ 1, as defined in the paper.
-func Delta(f []int, k int) int { return f[k] - f[k+1] }
-
-// Claim55 evaluates the closed form of Claim 5.5(a):
-//
-//	f(k) = n·(s+1)/2^s − s·(k − n + n/2^s)  for k ∈ I(s),
-//
-// where I(s) = {n − n/2^s, ..., n − n/2^(s+1) − 1}. n must be a power of
-// two and k < n−1. It returns the closed-form value for cross-checking
-// against the recurrence.
-func Claim55(n, k int) int {
-	// Find s with n − n/2^s ≤ k ≤ n − n/2^(s+1) − 1.
-	s := 0
-	for {
-		lo := n - n/(1<<uint(s))
-		hi := n - n/(1<<uint(s+1)) - 1
-		if k >= lo && k <= hi {
-			break
-		}
-		s++
-		if 1<<uint(s+1) > 2*n {
-			return -1 // k out of range
-		}
-	}
-	return n*(s+1)/(1<<uint(s)) - s*(k-n+n/(1<<uint(s)))
-}
-
 // SpaceBound returns the Theorem 5.1 consequence for n a power of two:
 // f(n−4) = 4(log₂ n − 1) groups survive, every register is covered by at
 // most 4 of them, so at least log₂ n − 1 registers exist.

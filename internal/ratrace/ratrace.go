@@ -291,10 +291,6 @@ func (r *Original) ElectWithProgress(h shm.Handle, prog *Progress) bool {
 	return won && r.top.Elect(h, 1)
 }
 
-// GridFellOff reports whether any process ever fell off the backup grid —
-// an invariant violation for ≤ n participants, asserted by tests.
-func (r *Original) GridFellOff() bool { return r.gridFellOff.Load() }
-
 // --- Space-efficient RatRace (Section 3.2) ----------------------------------
 
 // SpaceEfficient is the paper's Θ(n)-register modification: primary tree

@@ -18,7 +18,7 @@ type checker interface {
 
 type originalChecker struct{ r *Original }
 
-func (c originalChecker) violated() bool { return c.r.GridFellOff() }
+func (c originalChecker) violated() bool { return c.r.gridFellOff.Load() }
 
 type seChecker struct{ r *SpaceEfficient }
 
