@@ -160,8 +160,8 @@ type Line struct {
 	shared atomic.Uint32 // CC: nonzero once a non-writer read the line
 }
 
-// Release returns the line to untouched for the next round: no CC
-// writer, no DSM home, unshared. It also bumps the write version, so a
+// Release returns the line to its untouched state for the next round:
+// no CC writer, no DSM home, unshared. It also bumps the write version, so a
 // handle's CC cache entry recorded before the release can never match
 // the recycled line (versions are monotone; an entry matches only the
 // exact write it observed).
