@@ -367,7 +367,9 @@ func NewHandle(id int, seed int64) *Handle {
 // Read and Write goes to s, coins come from the splitmix64 stream rooted
 // at stream unless tape overrides them, and the counters and the abort
 // flag start from zero. Rebinding rewinds the handle for another
-// execution. The scheduler reports each step it takes through Took.
+// execution. A scheduler that executes a step reports it through Took.
+// A combiner fiber's scheduler only relays the step to its process's
+// handle, which counts it.
 func (h *Handle) Bind(id int, s Scheduler, stream uint64, tape *CoinTape) {
 	h.id, h.steps, h.sched, h.rng, h.coins, h.tape = id, 0, s, rng.New(stream), 0, tape
 	h.ccRMRs, h.dsmRMRs = 0, 0
@@ -418,10 +420,15 @@ func (h *Handle) chargeRead(l *Line) {
 	// CC: remote iff another handle wrote the line since this handle
 	// last cached it. Re-reads of an unchanged line are local (the spin
 	// case); lines never written carry no coherence traffic at all.
+	// A line never cached reads 0 from the map, and the version of a
+	// written line is always ≥ 1.
 	if lw := l.lastW.Load(); lw != 0 && lw != me {
 		if ver := l.ver.Load(); h.cache[l] != ver {
 			h.ccRMRs++
-			h.setCached(l, ver)
+			if h.cache == nil {
+				h.cache = make(map[*Line]uint32)
+			}
+			h.cache[l] = ver
 		}
 		l.shared.Store(1)
 	}
@@ -466,20 +473,12 @@ func (h *Handle) chargeWrite(l *Line) {
 	if l.lastW.Load() != me || l.shared.Load() != 0 {
 		h.ccRMRs++
 	}
-	ver := l.ver.Add(1)
+	// The write leaves no cache entry: while the line stays at this
+	// version its last writer is this handle, whose reads chargeRead
+	// never charges, and any later version misses every older entry.
+	l.ver.Add(1)
 	l.shared.Store(0)
 	l.lastW.Store(me)
-	h.setCached(l, ver)
-}
-
-// setCached records that this handle's simulated CC cache holds write
-// version ver of l. A line never cached reads 0 from the map, and the
-// version of a written line is always ≥ 1.
-func (h *Handle) setCached(l *Line, ver uint32) {
-	if h.cache == nil {
-		h.cache = make(map[*Line]uint32)
-	}
-	h.cache[l] = ver
 }
 
 // Read atomically reads r: one shared-memory step, taken by the
@@ -527,8 +526,8 @@ func (h *Handle) Coin(p float64) bool {
 func (h *Handle) Coins() int { return h.coins }
 
 // Steps returns the number of shared-memory operations this handle has
-// performed: a production handle counts its own, and a scheduled handle's
-// scheduler reports each step it takes through Took.
+// performed: a production handle counts its own, and a scheduled handle
+// counts those its scheduler reports through Took.
 func (h *Handle) Steps() int { return h.steps }
 
 // CCRMRs returns the remote memory references this handle has been

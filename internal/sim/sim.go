@@ -131,9 +131,12 @@ func (r *register) RegisterID() int { return r.id }
 // proc is one simulated process: the scheduler of its handle, and the
 // coroutine that runs its body.
 type proc struct {
-	h   concurrent.Handle // bound to the proc; the body steps through &h
-	id  int
-	sys *System
+	// state shares a cache line with h's step counter: the lockstep
+	// adversaries read both for every process at every step.
+	state procState
+	h     concurrent.Handle // bound to the proc; the body steps through &h
+	id    int
+	sys   *System
 
 	// next resumes the coroutine until it parks on a step or its body
 	// ends; stop ends a coroutine parked between executions. Both are nil
@@ -149,7 +152,6 @@ type proc struct {
 	kill  bool
 
 	pending pendingOp // set by the coroutine before it yields
-	state   procState
 }
 
 // Step implements concurrent.Scheduler: the handle's Read or Write
