@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/concurrent"
 	"repro/internal/core"
+	"repro/internal/ratrace"
 	"repro/internal/shm"
 	"repro/internal/sim"
 	"repro/internal/tas"
@@ -100,6 +101,8 @@ func BenchmarkCASBaselineTAS(b *testing.B) {
 // n=1024, k=16, random-oblivious schedule). "fresh" pays the pre-PR driver
 // shape — a new System and a full algorithm construction per trial —
 // while "pooled" Reset-recycles one System as harness.Run's workers do.
+// "build" is the construction a harness.Run worker pays once per cell for
+// sim-montecarlo's ratrace-se cell (32,860 registers), with no trial.
 func BenchmarkSimTrial(b *testing.B) {
 	const n, k = 1024, 16
 	b.Run("fresh", func(b *testing.B) {
@@ -125,6 +128,14 @@ func BenchmarkSimTrial(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sys.Reset(int64(i))
 			sys.RunInto(sim.NewRandomOblivious(int64(i)+977), body, &res)
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sys := sim.NewSystem(sim.Config{N: k, Seed: int64(i), Reuse: true})
+			ratrace.NewSpaceEfficient(sys, n)
+			sys.Release()
 		}
 	})
 }

@@ -170,11 +170,10 @@ type growth struct {
 	factory     harness.Factory
 	adversary   harness.AdversaryFactory
 	solo        bool // k = 1 at every n: the uncontended path
-	// trials, if set, caps the trials per point. The rows whose
-	// adversary scans all k processes at each of many steps set it: the
-	// floors 1 (the attack fixes the schedule, and a trial's maximum
-	// varies by a few percent), the combined algorithm under
-	// AscendingLocation 10.
+	// trials, if set, caps the trials per point. The rows whose attack
+	// makes a trial run many steps set it: the floors 1 (the attack
+	// fixes the schedule, and a trial's maximum varies by a few
+	// percent), the combined algorithm under AscendingLocation 10.
 	trials int
 	rmr    bool // also fit the mean max CC RMRs against the same bound
 	bound  complexity.Class

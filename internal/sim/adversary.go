@@ -209,7 +209,7 @@ func (s *System) RunInto(adv Adversary, body func(h shm.Handle), res *Result) {
 	}
 	res.MaxSteps = 0
 	res.TotalSteps = s.time
-	res.Registers = len(s.registers)
+	res.Registers = s.nregs
 	res.MaxCCRMRs, res.MaxDSMRMRs = 0, 0
 	res.TotalCCRMRs, res.TotalDSMRMRs = 0, 0
 	for i, p := range s.procs {

@@ -43,6 +43,16 @@
 // leak; without Reuse the lifecycle is single-shot and Close alone
 // reclaims everything.
 //
+// # What a trial costs
+//
+// Registers live in pointer-free slabs the System owns, 16 to 1,024
+// registers each, so building an object makes one allocation per slab,
+// not one per register, and a register is found from its id in O(1).
+// The attack adversaries (attacks.go) rank the parked processes in a
+// binary heap by a key over the View and re-rank only the process they
+// stepped last, so the adversary's share of a step is O(log k), not a
+// scan over all k processes.
+//
 // # Determinism contract and seed mapping
 //
 // Executions are a pure function of (Config.Seed, adversary, algorithm):
@@ -63,6 +73,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 
 	"repro/internal/concurrent"
 	"repro/internal/rng"
@@ -116,6 +127,8 @@ type pendingOp struct {
 // register is one simulated register. Its Line is the coherence state
 // that Handle.Took charges, maintained only under Config.CountRMRs;
 // writer is the Section 5 visibility, kept whether or not RMRs count.
+// It holds no pointers, so the slabs registers live in (see
+// System.NewRegister) are never scanned by the garbage collector.
 type register struct {
 	concurrent.Line
 	id      int
@@ -131,8 +144,8 @@ func (r *register) RegisterID() int { return r.id }
 // proc is one simulated process: the scheduler of its handle, and the
 // coroutine that runs its body.
 type proc struct {
-	// state shares a cache line with h's step counter: the lockstep
-	// adversaries read both for every process at every step.
+	// state shares a cache line with h's step counter: an attack
+	// adversary reads both for every process when it rebuilds its heap.
 	state procState
 	h     concurrent.Handle // bound to the proc; the body steps through &h
 	id    int
@@ -252,16 +265,20 @@ type Config struct {
 // at a time; with Config.Reuse it can be Reset and rerun arbitrarily many
 // times, recycling registers, coroutines, and per-process state.
 type System struct {
-	cfg       Config
-	registers []*register
-	touched   []*register // registers read or written in this execution
-	procs     []*proc
-	tape      *concurrent.CoinTape // CoinFunc and IntnFunc; nil if neither is set
-	time      int
-	parked    int
-	started   bool
-	closed    bool
-	released  bool
+	cfg     Config
+	slabs   [][]register // the registers in id order; see NewRegister
+	nregs   int
+	touched []*register // registers read or written in this execution
+	procs   []*proc
+	tape    *concurrent.CoinTape // CoinFunc and IntnFunc; nil if neither is set
+	time    int
+	parked  int
+	// execs counts started executions; an attack adversary that keeps
+	// state between picks tells a Reset-recycled execution by it.
+	execs    int
+	started  bool
+	closed   bool
+	released bool
 }
 
 var _ shm.Space = (*System)(nil)
@@ -294,14 +311,52 @@ func procSeed(seed int64, pid int) uint64 {
 	return g.Next()
 }
 
-// NewRegister implements shm.Space.
+// Registers live in slabs the System owns: one allocation per slab, not
+// per register. Slab i holds slabMin<<i registers until that reaches
+// slabMax (56 KiB of registers); every later slab holds slabMax. Small
+// Systems stay small, and a large one leaves at most one slab's tail
+// unused: space-efficient RatRace at n = 1,024 allocates 32,860
+// registers, which an uncapped doubling would round up to 65,520.
+const (
+	slabMin     = 16
+	slabMax     = 1024
+	slabDoubles = 6                              // log2(slabMax / slabMin)
+	slabSmall   = slabMin * (1<<slabDoubles - 1) // registers below the first slabMax slab
+)
+
+// NewRegister implements shm.Space. Register ids run 0, 1, 2, … in
+// allocation order.
 func (s *System) NewRegister(init shm.Value) shm.Register {
 	if s.started {
 		panic("sim: registers must be allocated before Start")
 	}
-	r := &register{id: len(s.registers), val: init, init: init, writer: -1}
-	s.registers = append(s.registers, r)
+	last := len(s.slabs) - 1
+	if last < 0 || len(s.slabs[last]) == cap(s.slabs[last]) {
+		size := slabMax
+		if len(s.slabs) < slabDoubles {
+			size = slabMin << len(s.slabs)
+		}
+		s.slabs = append(s.slabs, make([]register, 0, size))
+		last++
+	}
+	slab := s.slabs[last][:len(s.slabs[last])+1]
+	s.slabs[last] = slab
+	r := &slab[len(slab)-1]
+	r.id, r.val, r.init, r.writer = s.nregs, init, init, -1
+	s.nregs++
 	return r
+}
+
+// reg returns the register with the given id in O(1): ids below
+// slabSmall fall in the doubling slabs, where slab i starts at id
+// slabMin·(2^i − 1), and the rest in slabMax-sized slabs.
+func (s *System) reg(id int) *register {
+	if id < slabSmall {
+		i := bits.Len(uint(id/slabMin+1)) - 1
+		return &s.slabs[i][id-slabMin*(1<<i-1)]
+	}
+	id -= slabSmall
+	return &s.slabs[slabDoubles+id/slabMax][id%slabMax]
 }
 
 func (s *System) mustOwn(r shm.Register) *register {
@@ -332,6 +387,7 @@ func (s *System) Start(body func(h shm.Handle)) {
 		panic("sim: Start on a released System")
 	}
 	s.started = true
+	s.execs++
 	for _, p := range s.procs {
 		p.body = body
 		if p.next == nil {
@@ -498,18 +554,18 @@ func (s *System) CoinsOf(pid int) int { return s.procs[pid].h.Coins() }
 
 // RegisterCount returns the number of allocated registers (the space
 // complexity of the objects constructed on this System).
-func (s *System) RegisterCount() int { return len(s.registers) }
+func (s *System) RegisterCount() int { return s.nregs }
 
 // TouchedRegisters returns how many registers were read or written at least
 // once in the current execution.
 func (s *System) TouchedRegisters() int { return len(s.touched) }
 
 // Value returns the current contents of register reg.
-func (s *System) Value(reg int) shm.Value { return s.registers[reg].val }
+func (s *System) Value(reg int) shm.Value { return s.reg(reg).val }
 
 // LastWriter returns the pid visible on register reg, or -1 if no process
 // has written it (the paper's "no process is visible on r").
-func (s *System) LastWriter(reg int) int { return s.registers[reg].writer }
+func (s *System) LastWriter(reg int) int { return s.reg(reg).writer }
 
 // Pending reports full (adaptive-adversary) information about pid's pending
 // operation. ok is false if pid is not parked. This unfiltered view is for

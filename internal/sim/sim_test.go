@@ -563,6 +563,79 @@ func TestRegisterAccounting(t *testing.T) {
 	}
 }
 
+// TestRegisterSlabs builds a System of 33,000 registers: registers come
+// from slabs, so its allocations grow with the slab count, not the
+// register count, and across slab boundaries ids run 0…n−1 in allocation
+// order while Value, LastWriter and RegisterCount report what was
+// allocated, then written, then restored by Reset.
+func TestRegisterSlabs(t *testing.T) {
+	const n = 33_000
+	slabs := slabDoubles + (n-slabSmall+slabMax-1)/slabMax
+	build := func(regs int) {
+		sys := NewSystem(Config{N: 1, Seed: 1})
+		for i := 0; i < regs; i++ {
+			sys.NewRegister(shm.Value(i))
+		}
+	}
+	empty := testing.AllocsPerRun(3, func() { build(0) })
+	full := testing.AllocsPerRun(3, func() { build(n) })
+	// One allocation per slab, plus the slab index's growth.
+	if extra := full - empty; extra > float64(2*slabs) {
+		t.Errorf("%d registers in %d slabs cost %.0f allocations, want at most %d", n, slabs, extra, 2*slabs)
+	}
+
+	sys := NewSystem(Config{N: 1, Seed: 1, Reuse: true})
+	defer sys.Release()
+	regs := make([]shm.Register, n)
+	for i := range regs {
+		regs[i] = sys.NewRegister(shm.Value(3*i + 1))
+		if id := regs[i].RegisterID(); id != i {
+			t.Fatalf("register %d has id %d", i, id)
+		}
+	}
+	if got := sys.RegisterCount(); got != n {
+		t.Fatalf("RegisterCount = %d, want %d", got, n)
+	}
+	wrote := make([]bool, n) // the registers on both sides of each slab boundary
+	for i, start := 0, 0; start < n; i++ {
+		wrote[start] = true
+		if start > 0 {
+			wrote[start-1] = true
+		}
+		start += min(slabMin<<min(i, slabDoubles), slabMax)
+	}
+	wrote[n-1] = true
+	check := func(when string, written []bool) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			val, writer := shm.Value(3*i+1), -1
+			if written != nil && written[i] {
+				val, writer = -shm.Value(i), 0
+			}
+			if got := sys.Value(i); got != val {
+				t.Fatalf("%s: Value(%d) = %d, want %d", when, i, got, val)
+			}
+			if got := sys.LastWriter(i); got != writer {
+				t.Fatalf("%s: LastWriter(%d) = %d, want %d", when, i, got, writer)
+			}
+		}
+	}
+	check("allocated", nil)
+	sys.Run(NewRoundRobin(), func(h shm.Handle) {
+		for i, w := range wrote {
+			if w {
+				h.Write(regs[i], -shm.Value(i))
+			}
+		}
+	})
+	check("written", wrote)
+	sys.Reset(1)
+	check("reset", nil)
+	if got := sys.RegisterCount(); got != n {
+		t.Errorf("RegisterCount = %d after Reset, want %d", got, n)
+	}
+}
+
 // TestFixedScheduleSkipsFinished ensures replaying a schedule with stale
 // entries skips them rather than deadlocking.
 func TestFixedScheduleSkipsFinished(t *testing.T) {
