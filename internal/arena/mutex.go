@@ -60,9 +60,9 @@ import (
 	"math"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/concurrent"
+	"repro/internal/dst"
 )
 
 // Lock-ownership errors. They are re-exported by the public randtas
@@ -95,6 +95,7 @@ const retiredGate = math.MaxUint64
 // interacts through its own MutexProc.
 type Mutex struct {
 	arena *Arena
+	clock dst.Clock // paces blocked waits: its registry's clock, else dst.Real
 	cur   atomic.Pointer[round]
 	gate  atomic.Uint64 // 0 free | token held | retiredGate
 
@@ -128,7 +129,7 @@ type round struct {
 // NewMutex builds a mutex on a, drawing its first round's slot from
 // shard 0.
 func NewMutex(a *Arena) *Mutex {
-	m := &Mutex{arena: a}
+	m := &Mutex{arena: a, clock: dst.Real}
 	m.cur.Store(&round{slot: a.Get(0), seq: 1})
 	return m
 }
@@ -258,20 +259,19 @@ func (m *Mutex) Proc(id int, h *concurrent.Handle) *MutexProc {
 	if id < 0 || id >= m.arena.N() {
 		panic("arena: mutex proc id out of range of the backing arena's N")
 	}
-	return &MutexProc{m: m, h: h, id: id, wake: make(chan struct{}, 1)}
+	return &MutexProc{m: m, h: h, id: id, wait: dst.NewWait()}
 }
 
 // MutexProc is one goroutine's handle on a Mutex. It is confined to a
 // single goroutine, like every shm.Handle — with one exception: Abort
 // may be called from any goroutine.
 type MutexProc struct {
-	m     *Mutex
-	h     *concurrent.Handle
-	id    int
-	last  uint64 // seq of the round already attempted (one TAS per round)
-	held  *round
-	wake  chan struct{} // capacity 1; Abort's kick out of a park
-	parkT *time.Timer   // reused across parks; owned by this goroutine
+	m    *Mutex
+	h    *concurrent.Handle
+	id   int
+	last uint64 // seq of the round already attempted (one TAS per round)
+	held *round
+	wait dst.Wait // a blocked acquisition's pacing; Abort wakes it
 }
 
 // Steps reports the cumulative shared-memory steps this proc has taken
@@ -302,7 +302,7 @@ func (p *MutexProc) Token() uint64 {
 //
 // Cancellation is abortive: ctx arms an abort on the proc's handle
 // (context.AfterFunc), so a cancel lands mid-election — at the next
-// spin point of the abortable elector or the next bounded park — not
+// spin point of the abortable elector or the next paced wait — not
 // merely between rounds. A cancelled Lock leaves no residue: if the
 // proc turns out to have won the race against its own cancellation, the
 // round is released before returning ctx.Err().
@@ -349,17 +349,19 @@ func (p *MutexProc) Lock(ctx context.Context) (uint64, error) {
 // drainable and to abort waiters whose clients have hung up — wait
 // conditions a context cannot express.
 //
+// Each poll of stop is followed by one Idle of the mutex's clock, the
+// wait's only pacer: on the wall clock at most dst.MaxPark passes
+// between polls, and a simulated clock parks on virtual time alone.
+//
 // An Abort (from any goroutine) also ends the wait: it is observed at
-// the elector's spin points and around every park, and LockWhile
+// the elector's spin points and around every Idle, and LockWhile
 // consumes the abort flag on the way out, so one Abort cancels at most
-// one acquisition. Cancellation latency is hard-bounded: a parked
-// waiter sleeps at most maxParkInterval before re-checking stop, and an
-// Abort wakes the park immediately.
+// one acquisition. On the wall clock an Abort ends a park at once.
 func (p *MutexProc) LockWhile(stop func() bool) (uint64, bool) {
 	if p.held != nil {
 		panic("arena: Lock on a MutexProc that already holds the mutex")
 	}
-	spins := 0
+	p.wait.Reset()
 	for {
 		if p.m.Retired() {
 			return 0, false
@@ -381,10 +383,10 @@ func (p *MutexProc) LockWhile(stop func() bool) (uint64, bool) {
 			if stop != nil && stop() {
 				return 0, false
 			}
-			p.park(&spins)
+			p.m.clock.Idle(&p.wait)
 			continue
 		}
-		spins = 0
+		p.wait.Reset()
 		won, aborted := p.tryRound(r, true)
 		if won {
 			return r.seq, true
@@ -400,17 +402,14 @@ func (p *MutexProc) LockWhile(stop func() bool) (uint64, bool) {
 // other MutexProc method it is safe to call from any goroutine: it is
 // the crossing point through which a context callback, a lease sweep or
 // a server drain reaches a waiter that is parked or mid-election. The
-// abort resolves as a loss at the proc's next spin or park point; it is
+// abort resolves as a loss at the proc's next spin or Idle; it is
 // consumed by the acquisition it cancels (or, if none is in flight, by
 // the next one). Aborting a proc that currently holds the mutex does
 // not release the lock — it only cuts short a future acquisition, which
 // Lock treats as stale and retries.
 func (p *MutexProc) Abort() {
 	p.h.Abort()
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
+	p.wait.Wake()
 }
 
 // TryLock makes one attempt at the current round and returns the fencing
@@ -612,39 +611,5 @@ func (m *Mutex) recoverRound(r *round) {
 			m.gate.CompareAndSwap(r.seq, 0)
 		}
 		m.arena.Put(r.slot)
-	}
-}
-
-// maxParkInterval is the longest a blocked waiter sleeps between checks
-// of its stop predicate — the hard bound on cancellation latency for
-// stop-based waiters (an Abort additionally wakes the park immediately
-// via the proc's wake channel).
-const maxParkInterval = 10 * time.Microsecond
-
-// park spins politely: yield the processor for a while, then sleep in
-// bounded intervals so heavily oversubscribed workloads don't burn whole
-// cores waiting for a round change. The sleep is interruptible by
-// Abort and never exceeds maxParkInterval, so a waiter re-checks its
-// stop predicate within a bounded delay of it flipping true.
-func (p *MutexProc) park(spins *int) {
-	*spins++
-	if *spins < 32 {
-		runtime.Gosched()
-		return
-	}
-	// The timer is reused across parks (a fresh one per park allocates
-	// on the contended path); it is safe to Reset because every exit
-	// below leaves it stopped-and-drained.
-	if p.parkT == nil {
-		p.parkT = time.NewTimer(maxParkInterval)
-	} else {
-		p.parkT.Reset(maxParkInterval)
-	}
-	select {
-	case <-p.wake:
-		if !p.parkT.Stop() {
-			<-p.parkT.C
-		}
-	case <-p.parkT.C:
 	}
 }

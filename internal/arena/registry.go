@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/concurrent"
+	"repro/internal/dst"
 )
 
 // DefaultRegistryShards sizes a Registry when RegistryConfig leaves
@@ -53,10 +54,10 @@ type RegistryConfig struct {
 	// MaxIdle is the quiet time after which Evict retires a named mutex.
 	// Zero disables eviction (Evict becomes a no-op).
 	MaxIdle time.Duration
-	// Now supplies the clock Evict measures idleness against (nil means
-	// time.Now). A simulated service injects its virtual clock here so
-	// eviction timing is deterministic.
-	Now func() time.Time
+	// Clock times Evict's idleness and paces the mutexes' blocked waits
+	// (nil means dst.Real). A simulated service injects its virtual
+	// clock, so eviction is deterministic and no waiter parks on wall time.
+	Clock dst.Clock
 }
 
 // Registry maps names to synchronization objects built on one shared
@@ -64,7 +65,7 @@ type RegistryConfig struct {
 type Registry struct {
 	a       *Arena
 	maxIdle time.Duration
-	now     func() time.Time
+	clock   dst.Clock
 	shards  []registryShard
 	evicted atomic.Uint64 // total mutexes retired by Evict
 }
@@ -91,11 +92,11 @@ func NewRegistry(a *Arena, cfg RegistryConfig) *Registry {
 	if shards <= 0 {
 		shards = DefaultRegistryShards
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
+	clock := cfg.Clock
+	if clock == nil {
+		clock = dst.Real
 	}
-	r := &Registry{a: a, maxIdle: cfg.MaxIdle, now: now, shards: make([]registryShard, shards)}
+	r := &Registry{a: a, maxIdle: cfg.MaxIdle, clock: clock, shards: make([]registryShard, shards)}
 	for i := range r.shards {
 		r.shards[i].mutexes = make(map[string]*Mutex)
 		r.shards[i].elections = make(map[string]*Election)
@@ -143,6 +144,7 @@ func (r *Registry) Mutex(name string) *Mutex {
 	defer sh.mu.Unlock()
 	if m = sh.mutexes[name]; m == nil {
 		m = NewMutex(r.a)
+		m.clock = r.clock
 		sh.mutexes[name] = m
 	}
 	return m
@@ -196,7 +198,7 @@ func (r *Registry) Evict() int {
 	if r.maxIdle <= 0 {
 		return 0
 	}
-	now := r.now()
+	now := r.clock.Now()
 	evicted := 0
 	for i := range r.shards {
 		sh := &r.shards[i]

@@ -14,10 +14,10 @@
 //     zero added cost on the hot path. SimClock implements the same
 //     interface over a virtual event heap. The two waits a service
 //     cannot express as a Sleep — blocking on a channel (Await) and a
-//     busy-wait iteration (Idle) — are Clock methods too. They are
-//     internal/server's only simulation-aware waits, so the server has
-//     one code path: it never asks which clock it was given, and the
-//     simulation runs the server that ships.
+//     busy-wait iteration (Idle) — are Clock methods too. They are the
+//     service's only simulation-aware waits, so the server has one code
+//     path: it never asks which clock it was given, and the simulation
+//     runs the server that ships.
 //
 //   - Fabric: an in-memory transport that satisfies net.Listener and
 //     net.Conn, scheduling every byte delivery as a SimClock event so
@@ -33,6 +33,7 @@ package dst
 
 import (
 	"context"
+	"runtime"
 	"time"
 )
 
@@ -65,12 +66,44 @@ type Clock interface {
 	// ctx should therefore be one only the simulation cancels, never a
 	// wall-clock deadline.
 	Await(ctx context.Context, done <-chan struct{}) error
-	// Idle marks one iteration of a busy-wait. On the wall clock it
-	// does nothing; under simulation it parks the actor for a short
-	// virtual interval, since a spinning actor would keep the scheduler
-	// from ever advancing time.
-	Idle()
+	// Idle paces one iteration of a busy-wait, the wait's only pacer.
+	// On the wall clock a wait's first iterations yield the processor
+	// and later ones park for at most MaxPark, or until w is woken.
+	// Under simulation Idle parks the actor for a short virtual
+	// interval, since a spinning actor would keep the scheduler from
+	// ever advancing time, and never on the wall clock.
+	Idle(w *Wait)
 }
+
+// Wait carries one waiter's pacing from one Idle to the next; make it
+// with NewWait. Only Wake may be called from another goroutine.
+type Wait struct {
+	spins int
+	wake  chan struct{} // capacity 1, so a Wake before the park still ends it
+	timer *time.Timer   // reused: a timer per park would allocate
+}
+
+// NewWait returns a fresh wait.
+func NewWait() Wait { return Wait{wake: make(chan struct{}, 1)} }
+
+// Reset begins a new wait: the next wall-clock Idle yields again.
+func (w *Wait) Reset() { w.spins = 0 }
+
+// Wake ends the waiter's current wall-clock park, or its next one.
+func (w *Wait) Wake() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+// A wall-clock wait yields for its first spinYields iterations, then
+// parks for at most MaxPark per Idle: MaxPark bounds how late a waiter
+// sees its give-up condition flip.
+const (
+	spinYields = 32
+	MaxPark    = 10 * time.Microsecond
+)
 
 // Timer is the handle returned by Clock.AfterFunc.
 type Timer interface {
@@ -101,7 +134,23 @@ func (realClock) Await(ctx context.Context, done <-chan struct{}) error {
 	}
 }
 
-func (realClock) Idle() {}
+func (realClock) Idle(w *Wait) {
+	w.spins++
+	if w.spins < spinYields {
+		runtime.Gosched()
+		return
+	}
+	if w.timer == nil {
+		w.timer = time.NewTimer(MaxPark) //taslint:allow detclock -- Real is the wall-clock passthrough
+	} else {
+		w.timer.Reset(MaxPark)
+	}
+	select {
+	case <-w.wake:
+		w.timer.Stop()
+	case <-w.timer.C:
+	}
+}
 
 func (realClock) AfterFunc(d time.Duration, f func()) Timer {
 	return realTimer{t: time.AfterFunc(d, f)} //taslint:allow detclock -- Real is the wall-clock passthrough

@@ -580,7 +580,8 @@ func TestSimClockAwaitChecksDoneThenCtx(t *testing.T) {
 // of virtual time.
 func TestSimClockIdle(t *testing.T) {
 	clk := NewSimClock()
-	clk.Go(clk.Idle)
+	w := NewWait()
+	clk.Go(func() { clk.Idle(&w) })
 	if err := clk.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}

@@ -141,7 +141,8 @@ func (c *SimClock) Await(ctx context.Context, done <-chan struct{}) error {
 }
 
 // Idle implements Clock: the actor parks for idlePoll of virtual time.
-func (c *SimClock) Idle() { c.Sleep(idlePoll) }
+// It ignores w: an Abort reaches a simulated waiter when the park ends.
+func (c *SimClock) Idle(*Wait) { c.Sleep(idlePoll) }
 
 // AfterFunc implements Clock: f runs as a new actor once virtual time
 // reaches Now+d, unless stopped first.
@@ -196,14 +197,6 @@ func (c *SimClock) Wait() error {
 		close(ch)
 	}
 	<-c.done
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.deadlockErr
-}
-
-// Err returns the deadlock error recorded so far, if any, without
-// waiting for the run to finish.
-func (c *SimClock) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.deadlockErr

@@ -5,12 +5,14 @@
 // seed — same seed, same event trace — so any failure the randomized
 // schedule finds can be replayed and debugged offline.
 //
-// Invariants are checked continuously (on every scheduler step) and at
-// teardown:
+// Invariants are checked continuously (on every scheduler step), at
+// teardown and once the run has ended:
 //
 //   - at most one holder per lock, via the server's own token-keyed
 //     exclusion check (Violations must stay 0)
-//   - fencing tokens observed on each lock's owner word are monotone
+//   - fencing tokens observed on each lock incarnation's owner word are
+//     monotone, and a name gets a new incarnation only once the old one
+//     is retired
 //   - at most one leader per election epoch
 //   - an overdue lease is enforced within TTL + 2×LeaseSweep
 //   - a renewed lease (EXTEND / KeepAlive) survives past its original
@@ -33,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	randtas "repro"
 	"repro/internal/dst"
 	"repro/internal/rng"
 	"repro/internal/server"
@@ -103,9 +106,8 @@ type scenario struct {
 	// envelope holds the server's admission limits; the rest of the
 	// server config is common to every scenario.
 	envelope server.Config
-	// step runs on every scheduler step after the common checks, and
-	// settle once the traffic has quiesced, before the drain.
-	step, settle func(r *run)
+	// settle runs once the traffic has quiesced, before the drain.
+	settle func(r *run)
 	// evict expects idle names to be evicted and an evicted name to be
 	// usable afresh.
 	evict bool
@@ -146,7 +148,6 @@ var scenarios = map[Scenario]scenario{
 			MaxInflight:  overloadMaxInflight,
 			WriteTimeout: overloadWriteTimeout,
 		},
-		step:   (*run).checkAdmission,
 		settle: (*run).settleOverload,
 		actors: func(r *run) {
 			r.spawn(func() { r.overloadHolder(0) })
@@ -300,9 +301,14 @@ type monitor struct {
 	conns      []*dst.SimConn
 }
 
-// tokenMark is the last fencing token seen on a lock name's owner word,
-// with the number of the name's incarnations evicted at the time.
-type tokenMark struct{ tok, evictions uint64 }
+// tokenMark is the last fencing token seen on a lock name's owner word
+// and the incarnation, a *randtas.Mutex, that granted it.
+type tokenMark struct {
+	inc incarnation
+	tok uint64
+}
+
+type incarnation interface{ Retired() bool }
 
 // epochKey names one epoch of one election.
 type epochKey struct {
@@ -340,17 +346,21 @@ func (m *monitor) inc(field *int) {
 	m.mu.Unlock()
 }
 
-// fence records owner as the token on name's owner word. A token lower
-// than the last one seen is a fencing violation unless name itself was
-// evicted in between (evicted maps each name to its eviction count): a
-// fresh incarnation restarts its token sequence, but another name's
-// eviction excuses nothing.
-func (m *monitor) fence(name string, owner uint64, evicted map[string]uint64) {
+// fence records owner as the token that incarnation inc granted on
+// name's owner word. Tokens must rise within an incarnation. A fresh one
+// restarts them, but only after the old one retired: two live
+// incarnations of one name would each grant the lock.
+func (m *monitor) fence(name string, inc incarnation, owner uint64) {
 	m.mu.Lock()
-	prev := m.tokens[name]
-	m.tokens[name] = tokenMark{owner, evicted[name]}
+	prev, seen := m.tokens[name]
+	m.tokens[name] = tokenMark{inc, owner}
 	m.mu.Unlock()
-	if owner < prev.tok && evicted[name] == prev.evictions {
+	switch {
+	case !seen:
+	case inc != prev.inc && !prev.inc.Retired():
+		m.errOnce("inc-"+name, "lock %q granted token %d by a new incarnation while the old one, at token %d, is live",
+			name, owner, prev.tok)
+	case inc == prev.inc && owner < prev.tok:
 		m.errOnce("tok-"+name, "fencing token went backwards on %q: %d after %d", name, owner, prev.tok)
 	}
 }
@@ -412,6 +422,13 @@ func Run(cfg Config) (Report, error) {
 	if err := clk.Wait(); err != nil {
 		r.mon.errOnce("deadlock", "stuck waiters after drain: %v", err)
 	}
+	// The admission high-water marks only rise (and stay 0 while their
+	// bound is off), so one look after the run sees any breach.
+	ov := srv.Overload()
+	if ov.QueueDepthHighWater > int64(sc.envelope.MaxWaiters) || ov.InflightHighWater > int64(sc.envelope.MaxInflight) {
+		r.mon.errOnce("admission", "admission high-water marks %d queued per lock, %d in flight; bounds %d and %d",
+			ov.QueueDepthHighWater, ov.InflightHighWater, sc.envelope.MaxWaiters, sc.envelope.MaxInflight)
+	}
 
 	r.mon.mu.Lock()
 	defer r.mon.mu.Unlock()
@@ -420,8 +437,7 @@ func Run(cfg Config) (Report, error) {
 	rep.Virtual = clk.VirtualNow()
 	rep.Expiries = srv.LeaseExpirations()
 	rep.Evictions = srv.Registry().Evictions()
-	rep.Violations = srv.Violations()
-	ov := srv.Overload()
+	rep.Violations = srv.Violations() // only rises; Failed checks it
 	rep.Shed, rep.DeadlineExpired = ov.Shed, ov.DeadlineExpired
 	rep.SlowClientEvictions, rep.QueueDepthHighWater = ov.SlowClientEvictions, ov.QueueDepthHighWater
 	return rep, nil
@@ -444,28 +460,15 @@ func (r *run) clients(f func(i int)) {
 }
 
 // check runs on every scheduler step with no actor running: the
-// continuous invariant sweep.
+// continuous sweep, reading each invariant where the server keeps it.
 func (r *run) check(time.Duration) {
-	if v := r.srv.Violations(); v > 0 {
-		r.mon.errOnce("exclusion", "server exclusion check failed %d time(s)", v)
-	}
-	if r.sc.step != nil {
-		r.sc.step(r)
-	}
 	nowNano := r.clk.Now().UnixNano()
 	bound := int64(2 * sweep)
-	var evicted map[string]uint64 // per-name eviction counts, read once a lock is held
-	r.srv.VisitLocks(func(name string, owner uint64, lease int64) {
+	r.srv.VisitLocks(func(name string, m *randtas.Mutex, owner uint64, lease int64) {
 		if owner == 0 {
 			return
 		}
-		if evicted == nil {
-			evicted = map[string]uint64{}
-			for _, ns := range r.srv.Registry().Stats() {
-				evicted[ns.Name] = ns.Evictions
-			}
-		}
-		r.mon.fence(name, owner, evicted)
+		r.mon.fence(name, m, owner)
 		if lease != 0 && nowNano-lease > bound {
 			r.mon.errOnce("lease-"+name, "lease on %q overdue by %v (bound %v)",
 				name, time.Duration(nowNano-lease), time.Duration(bound))
@@ -484,22 +487,6 @@ func (r *run) check(time.Duration) {
 				"server changed the winner of election %q epoch %d: proc %d then %d",
 				es.Name, es.Epoch, prev, es.Winner)
 		}
-	}
-}
-
-// checkAdmission is the overload scenario's per-step check. The
-// admission bounds are hard: the high-water marks record admitted
-// occupancy, so a single step past either bound is a shed that was
-// wrongly let through.
-func (r *run) checkAdmission() {
-	o := r.srv.Overload()
-	if o.QueueDepthHighWater > overloadMaxWaiters {
-		r.mon.errOnce("queue-bound", "per-lock wait queue reached %d (bound %d)",
-			o.QueueDepthHighWater, overloadMaxWaiters)
-	}
-	if o.InflightHighWater > overloadMaxInflight {
-		r.mon.errOnce("inflight-bound", "global in-flight reached %d (bound %d)",
-			o.InflightHighWater, overloadMaxInflight)
 	}
 }
 

@@ -2,6 +2,8 @@ package dstrun
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,20 +79,83 @@ func TestUnknownScenario(t *testing.T) {
 	}
 }
 
-// TestTokenWatermarkPerName: a fencing-token regression is excused only
-// by an eviction of that same name, whose fresh incarnation restarts the
-// sequence; another name's eviction excuses nothing.
+// fakeIncarnation is a lock incarnation whose retirement the test sets.
+type fakeIncarnation struct{ retired bool }
+
+func (f *fakeIncarnation) Retired() bool { return f.retired }
+
+// TestTokenWatermarkPerName: fencing tokens are keyed by the lock
+// incarnation serving the name. A drop within one incarnation fails; a
+// fresh incarnation restarts the sequence silently only once the old
+// one is retired; and another name's eviction excuses nothing.
 func TestTokenWatermarkPerName(t *testing.T) {
 	m := newMonitor(1, ScenarioLocks)
-	m.fence("lock0", 5, map[string]uint64{})
-	m.fence("lock0", 3, map[string]uint64{"eph0": 1})
-	if len(m.Errors) != 1 {
-		t.Fatalf("lock0 went 5 -> 3 while only eph0 was evicted: errors %q, want one", m.Errors)
+	wantErrors := func(n int, what string) {
+		t.Helper()
+		if len(m.Errors) != n {
+			t.Fatalf("%s: errors %q, want %d", what, m.Errors, n)
+		}
 	}
-	m.fence("lock1", 5, map[string]uint64{"eph0": 1})
-	m.fence("lock1", 2, map[string]uint64{"eph0": 1, "lock1": 1})
-	if len(m.Errors) != 1 {
-		t.Fatalf("lock1 restarted after its own eviction: errors %q, want no new one", m.Errors)
+	lock0, lock1 := &fakeIncarnation{}, &fakeIncarnation{}
+	m.fence("lock0", lock0, 5)
+	m.fence("lock0", lock0, 3)
+	wantErrors(1, "lock0 went 5 -> 3 within one incarnation")
+
+	m.fence("lock1", lock1, 7)
+	lock1.retired = true
+	m.fence("lock1", &fakeIncarnation{}, 1)
+	wantErrors(1, "lock1 restarted at 1 after its old incarnation retired")
+
+	eph0, eph1 := &fakeIncarnation{}, &fakeIncarnation{}
+	m.fence("eph0", eph0, 2)
+	m.fence("eph0", eph1, 9)
+	wantErrors(2, "eph0 got a new incarnation while the old one is live")
+
+	lock2 := &fakeIncarnation{}
+	m.fence("lock2", lock2, 5)
+	eph1.retired = true
+	m.fence("eph0", &fakeIncarnation{}, 1)
+	m.fence("lock2", lock2, 4)
+	wantErrors(3, "lock2 went 5 -> 4 while only eph0 was evicted")
+}
+
+// TestNoWallClockWait: under the virtual clock a blocked ACQUIRE waits
+// on virtual time alone. Every blocking event of the run is profiled,
+// and none in MutexProc.LockWhile's wait between rounds may block
+// anywhere but in a SimClock park. The election itself is left out (its
+// combiner fibers hand steps between goroutines), and so are mutex
+// handoffs between the scheduler's goroutines. A wall-clock park shows
+// up as a count, however fast or slow the host is.
+func TestNoWallClockWait(t *testing.T) {
+	runtime.SetBlockProfileRate(1)
+	rep := runOnce(t, Config{Seed: 1, Scenario: ScenarioAbortStorm})
+	runtime.SetBlockProfileRate(0)
+	assertPassed(t, rep)
+	n, _ := runtime.BlockProfile(nil)
+	recs := make([]runtime.BlockProfileRecord, n+64)
+	n, _ = runtime.BlockProfile(recs)
+	var wall int64
+	for _, rec := range recs[:n] {
+		var waiting, electing, virtual bool
+		frames := runtime.CallersFrames(rec.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			switch fn := f.Function; {
+			case strings.HasSuffix(fn, "arena.(*MutexProc).LockWhile"):
+				waiting = true
+			case strings.HasSuffix(fn, "arena.(*MutexProc).tryRound"):
+				electing = true
+			case strings.HasSuffix(fn, "dst.(*SimClock).parkLocked"), strings.HasPrefix(fn, "sync.(*Mutex)"):
+				virtual = true
+			}
+		}
+		if waiting && !electing && !virtual {
+			wall += rec.Count
+		}
+	}
+	if wall > 0 {
+		t.Fatalf("%d blocking event(s) in MutexProc.LockWhile's wait were not virtual-clock parks", wall)
 	}
 }
 

@@ -284,7 +284,7 @@ func New(cfg Config) (*Server, error) {
 			Prealloc: cfg.Prealloc,
 		},
 		MaxIdle: cfg.MaxIdle,
-		Now:     cfg.Clock.Now,
+		Clock:   cfg.Clock,
 	})
 	if err != nil {
 		return nil, err
@@ -562,13 +562,14 @@ func (s *Server) Violations() uint64 { return s.violations.Load() }
 func (s *Server) LeaseExpirations() uint64 { return s.expiries.Load() }
 
 // VisitLocks calls f for every named lock's server-side state: the
-// holder's fencing token (0 when free) and the lease deadline in unix
-// nanos (0 when leaseless). The dst invariant checker uses it to assert
-// lease-enforcement bounds; visit order is unspecified.
-func (s *Server) VisitLocks(f func(name string, owner uint64, leaseDeadline int64)) {
+// incarnation serving the name (a new one follows only an eviction),
+// the holder's fencing token (0 when free) and the lease deadline in
+// unix nanos (0 when leaseless). The dst invariant checker uses it to
+// assert fencing and lease bounds; visit order is unspecified.
+func (s *Server) VisitLocks(f func(name string, m *randtas.Mutex, owner uint64, leaseDeadline int64)) {
 	s.locks.Range(func(k, v interface{}) bool {
 		e := v.(*lockEntry)
-		f(k.(string), e.owner.Load(), e.lease.Load())
+		f(k.(string), e.m, e.owner.Load(), e.lease.Load())
 		return true
 	})
 }
@@ -1063,8 +1064,7 @@ func (s *Server) process(c *conn, req wire.Request) bool {
 					peerDead = true
 					cl.proc.Abort()
 				}
-				s.clock.Idle() // a spinning actor would freeze virtual time
-				return false
+				return false // LockWhile paces the wait on s.clock
 			})
 			c.blocked.Store(nil)
 			s.unreserve(cl.entry)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	randtas "repro"
 	"repro/internal/dst"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -1098,7 +1099,7 @@ func TestShutdownDuringConnChurn(t *testing.T) {
 		cancel()
 		active := server.ActiveConns(s)
 		owned := 0
-		s.VisitLocks(func(_ string, owner uint64, _ int64) {
+		s.VisitLocks(func(_ string, _ *randtas.Mutex, owner uint64, _ int64) {
 			if owner != 0 {
 				owned++
 			}
@@ -1124,7 +1125,7 @@ func TestShutdownDuringConnChurn(t *testing.T) {
 // counted no exclusion violation.
 func checkRecovered(t *testing.T, s *server.Server) {
 	t.Helper()
-	s.VisitLocks(func(name string, owner uint64, _ int64) {
+	s.VisitLocks(func(name string, _ *randtas.Mutex, owner uint64, _ int64) {
 		if owner != 0 {
 			t.Errorf("lock %q still owned by token %d after the drain", name, owner)
 		}

@@ -361,8 +361,8 @@ func (s *System) reg(id int) *register {
 
 func (s *System) mustOwn(r shm.Register) *register {
 	reg, ok := r.(*register)
-	if !ok {
-		panic(fmt.Sprintf("sim: register %T belongs to a different backend", r))
+	if !ok || reg.id >= s.nregs || s.reg(reg.id) != reg { // ids are per System
+		panic(fmt.Sprintf("sim: register %d (%T) belongs to a different backend or System", r.RegisterID(), r))
 	}
 	return reg
 }

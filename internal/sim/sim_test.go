@@ -677,6 +677,28 @@ func TestStepHookTrace(t *testing.T) {
 	}
 }
 
+// TestForeignRegisterPanics: a process steps only its own System's
+// registers. A write to another System's register panics from the call
+// that ran the process to it, and leaves that register untouched.
+func TestForeignRegisterPanics(t *testing.T) {
+	a := NewSystem(Config{N: 1, Seed: 1})
+	foreign := a.NewRegister(0)
+	b := NewSystem(Config{N: 1, Seed: 1})
+	b.NewRegister(0) // the same id as foreign: only ownership tells them apart
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		b.Start(func(h shm.Handle) { h.Write(foreign, 9) })
+		b.Step(0)
+		return nil
+	}()
+	if got == nil {
+		t.Fatal("a process of one System wrote another System's register without a panic")
+	}
+	if a.Value(0) != 0 || a.LastWriter(0) != -1 {
+		t.Fatalf("the foreign register holds %d, last written by %d; want 0 and -1", a.Value(0), a.LastWriter(0))
+	}
+}
+
 // TestBodyPanicSurfaces checks that a panic in a process body, other than
 // the kill sentinel, surfaces from the scheduler call that resumed the
 // process — Start for code before the first step, Step after a grant,

@@ -88,6 +88,7 @@ import (
 	"repro/internal/combiner"
 	"repro/internal/concurrent"
 	"repro/internal/core"
+	"repro/internal/dst"
 	"repro/internal/ratrace"
 	"repro/internal/rng"
 	"repro/internal/shm"
@@ -473,10 +474,10 @@ type RegistryOptions struct {
 	// whose counters have been quiet for at least this long, returning
 	// their final rounds' slots to the arena. Zero disables eviction.
 	MaxIdle time.Duration
-	// Now supplies the clock Evict measures idleness against (nil means
-	// time.Now). Injected by deterministic-simulation harnesses; normal
-	// callers leave it nil.
-	Now func() time.Time
+	// Clock times eviction and paces the mutexes' blocked waits (nil
+	// means the wall clock). Injected by deterministic-simulation
+	// harnesses; normal callers leave it nil.
+	Clock dst.Clock
 }
 
 // NamedMutexStats re-exports the per-name mutex counters.
@@ -505,7 +506,7 @@ func NewRegistry(opts RegistryOptions) (*Registry, error) {
 	return &Registry{opts: a.opts, r: arena.NewRegistry(a.a, arena.RegistryConfig{
 		Shards:  opts.RegistryShards,
 		MaxIdle: opts.MaxIdle,
-		Now:     opts.Now,
+		Clock:   opts.Clock,
 	})}, nil
 }
 
@@ -716,7 +717,8 @@ func (p *MutexProc) Abort() { p.p.Abort() }
 // LockWhile acquires like Lock but keeps waiting only while stop
 // reports false — the building block for wait conditions a context
 // cannot express (tasd uses it to abort waiters whose client hung up).
-// stop is polled only between rounds.
+// stop is polled only between rounds; the wait is paced by the
+// registry's Clock (the wall clock outside a registry), not by stop.
 func (p *MutexProc) LockWhile(stop func() bool) (Token, bool) { return p.p.LockWhile(stop) }
 
 // TryLock makes a single attempt at the current round, returning the

@@ -41,7 +41,7 @@ func (f *fakeClock) Sleep(d time.Duration) {
 
 func (f *fakeClock) AfterFunc(d time.Duration, fn func()) dst.Timer { return noopTimer{} }
 func (f *fakeClock) Go(fn func())                                   { go fn() }
-func (f *fakeClock) Idle()                                          {}
+func (f *fakeClock) Idle(*dst.Wait)                                 {}
 
 func (f *fakeClock) Await(ctx context.Context, done <-chan struct{}) error {
 	return dst.Real.Await(ctx, done)
