@@ -172,7 +172,7 @@ func TestAbortConsumedOnce(t *testing.T) {
 }
 
 // abortLatencyBudget is the test's bound on how long a parked waiter may
-// take to observe its cancellation. The protocol bound is maxParkInterval
+// take to observe its cancellation. The protocol bound is dst.MaxPark
 // plus one wake; the budget is generous for oversubscribed CI machines
 // but far below the unbounded parks the bound exists to rule out.
 const abortLatencyBudget = 100 * time.Millisecond
@@ -209,7 +209,7 @@ func TestAbortWakesParkedWaiter(t *testing.T) {
 
 // TestStopFlipObservedWhileParked is the regression test for the waiter
 // that slept past its stop predicate flipping true: a parked LockWhile
-// waiter must re-check stop within maxParkInterval-scale latency, not
+// waiter must re-check stop within dst.MaxPark-scale latency, not
 // whenever the round happens to change.
 func TestStopFlipObservedWhileParked(t *testing.T) {
 	m := newTestMutex(t, 2)

@@ -97,12 +97,12 @@ func (w *Wait) Wake() {
 	}
 }
 
-// A wall-clock wait yields for its first spinYields iterations, then
-// parks for at most MaxPark per Idle: MaxPark bounds how late a waiter
-// sees its give-up condition flip.
+// On the wall clock a wait's first Idles yield the processor; from the
+// parkAfter-th on, each parks for at most MaxPark, which bounds how late
+// a waiter sees its give-up condition flip.
 const (
-	spinYields = 32
-	MaxPark    = 10 * time.Microsecond
+	parkAfter = 32
+	MaxPark   = 10 * time.Microsecond
 )
 
 // Timer is the handle returned by Clock.AfterFunc.
@@ -136,7 +136,7 @@ func (realClock) Await(ctx context.Context, done <-chan struct{}) error {
 
 func (realClock) Idle(w *Wait) {
 	w.spins++
-	if w.spins < spinYields {
+	if w.spins < parkAfter {
 		runtime.Gosched()
 		return
 	}
