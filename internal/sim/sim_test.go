@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"flag"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/combiner"
 	"repro/internal/core"
+	"repro/internal/ratrace"
 	"repro/internal/shm"
 )
 
@@ -179,6 +183,85 @@ func TestGoldenTraceAfterReset(t *testing.T) {
 		if got := trace.String(); got != goldenTrace {
 			t.Errorf("round %d: trace diverges after Reset:\n--- got ---\n%s--- want ---\n%s", round, got, goldenTrace)
 		}
+	}
+}
+
+var updateCombined = flag.Bool("update", false, "rewrite testdata/combined-trace.golden")
+
+// combinedGoldenFile pins the step/grant trace of the combined scenario
+// in TestGoldenTraceCombined, recorded with the combiner's fibers as
+// goroutines relaying over channels.
+const combinedGoldenFile = "testdata/combined-trace.golden"
+
+// TestGoldenTraceCombined replays the Corollary 4.2 object — space-
+// efficient RatRace combined with core.NewLogStar(·, 16) — at k = 5
+// under the lockstep adversary with goldenConfig's coin overrides, on a
+// fresh System and then on a Reuse System Reset after an execution cut
+// off mid-election. The trace covers both fibers' interleaving, the
+// three rules and LE_top, so it pins whatever carries the fibers'
+// steps: a change of fiber transport must leave it byte-identical.
+func TestGoldenTraceCombined(t *testing.T) {
+	var trace strings.Builder
+	cfg, rewind := goldenConfig(&trace)
+	run := func(sys *System) {
+		t.Helper()
+		comb := combiner.New(sys, ratrace.NewSpaceEfficient(sys, 16), core.NewLogStar(sys, 16))
+		won := 0
+		body := func(h shm.Handle) {
+			if comb.Elect(h) {
+				won++
+			}
+		}
+		if sys.cfg.Reuse {
+			// Killed mid-election: fibers parked on pending steps, dirty
+			// registers for Reset to clean up.
+			steps := 0
+			sys.Run(&Func{Vis: VisibilityAdaptive, Pick: func(v View) int {
+				if steps >= 23 {
+					return -1
+				}
+				steps++
+				return NewLockstep().Next(v)
+			}}, body)
+			sys.Reset(cfg.Seed)
+			rewind()
+			trace.Reset()
+			won = 0
+		}
+		res := sys.Run(NewLockstep(), body)
+		if won != 1 {
+			t.Errorf("combined scenario (reuse %v) elected %d winners, want 1", sys.cfg.Reuse, won)
+		}
+		for pid, ok := range res.Finished {
+			if !ok {
+				t.Errorf("combined scenario (reuse %v): process %d did not finish", sys.cfg.Reuse, pid)
+			}
+		}
+	}
+
+	run(NewSystem(cfg))
+	fresh := trace.String()
+	if *updateCombined {
+		if err := os.WriteFile(combinedGoldenFile, []byte(fresh), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(combinedGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh != string(want) {
+		t.Errorf("fresh combined trace diverges from %s (%d bytes, want %d)", combinedGoldenFile, len(fresh), len(want))
+	}
+
+	trace.Reset()
+	rewind()
+	cfg.Reuse = true
+	sys := NewSystem(cfg)
+	defer sys.Release()
+	run(sys)
+	if got := trace.String(); got != string(want) {
+		t.Errorf("combined trace after Reset diverges from %s (%d bytes, want %d)", combinedGoldenFile, len(got), len(want))
 	}
 }
 
