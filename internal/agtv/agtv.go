@@ -25,7 +25,7 @@ type Tournament struct {
 	// heap-indexed from 1; node v's children are 2v and 2v+1. Matches
 	// are two-process elections: slot 0 for the contender rising from
 	// the left child, slot 1 from the right child.
-	matches []*twoproc.LE
+	matches []twoproc.LE
 }
 
 // New builds the tournament for up to n processes (n ≥ 1). It allocates
@@ -38,9 +38,9 @@ func New(s shm.Space, n int) *Tournament {
 	for leaves < n {
 		leaves *= 2
 	}
-	t := &Tournament{leaves: leaves, matches: make([]*twoproc.LE, leaves)}
+	t := &Tournament{leaves: leaves, matches: make([]twoproc.LE, leaves)}
 	for v := 1; v < leaves; v++ {
-		t.matches[v] = twoproc.New(s)
+		t.matches[v] = twoproc.Make(s)
 	}
 	return t
 }

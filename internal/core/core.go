@@ -62,8 +62,8 @@ const (
 // ChainLE is the Section 2.1 leader election from group elections.
 type ChainLE struct {
 	ges       []groupelect.GroupElector
-	sps       []*splitter.Splitter
-	les       []*twoproc.LE
+	sps       []splitter.Splitter
+	les       []twoproc.LE
 	arrayRegs map[int]bool
 
 	// LevelHook, if set before any Elect call, is invoked as each
@@ -83,8 +83,8 @@ func NewChain(s shm.Space, levels int, ge func(level int) groupelect.GroupElecto
 	}
 	c := &ChainLE{
 		ges:       make([]groupelect.GroupElector, levels),
-		sps:       make([]*splitter.Splitter, levels),
-		les:       make([]*twoproc.LE, levels),
+		sps:       make([]splitter.Splitter, levels),
+		les:       make([]twoproc.LE, levels),
 		arrayRegs: make(map[int]bool),
 	}
 	for i := 0; i < levels; i++ {
@@ -95,8 +95,8 @@ func NewChain(s shm.Space, levels int, ge func(level int) groupelect.GroupElecto
 				c.arrayRegs[id] = true
 			}
 		}
-		c.sps[i] = splitter.New(s)
-		c.les[i] = twoproc.New(s)
+		c.sps[i] = splitter.Make(s)
+		c.les[i] = twoproc.Make(s)
 	}
 	return c
 }
@@ -254,7 +254,7 @@ func NewSifting(s shm.Space, n int) *ChainLE {
 type AdaptiveLE struct {
 	subs   []*ChainLE
 	caps   []int
-	finals []*twoproc.LE
+	finals []twoproc.LE
 }
 
 // NewAdaptiveSifting builds the Theorem 2.4 leader election for up to n
@@ -275,7 +275,7 @@ func NewAdaptiveSifting(s shm.Space, n int) *AdaptiveLE {
 	a := &AdaptiveLE{
 		subs:   make([]*ChainLE, len(sizes)),
 		caps:   make([]int, len(sizes)),
-		finals: make([]*twoproc.LE, len(sizes)),
+		finals: make([]twoproc.LE, len(sizes)),
 	}
 	for i, ni := range sizes {
 		last := i == len(sizes)-1
@@ -297,7 +297,7 @@ func NewAdaptiveSifting(s shm.Space, n int) *AdaptiveLE {
 			return groupelect.NewDummy()
 		})
 		a.caps[i] = levelCap
-		a.finals[i] = twoproc.New(s)
+		a.finals[i] = twoproc.Make(s)
 	}
 	return a
 }

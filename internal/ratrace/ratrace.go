@@ -41,22 +41,23 @@ type Progress struct {
 // --- Primary tree ----------------------------------------------------------
 
 type treeNode struct {
-	rs *splitter.RSplitter
-	le *twoproc.LE3
+	rs splitter.RSplitter
+	le twoproc.LE3
 }
 
 // tree is a complete binary tree of randomized splitters and 3-process
-// leader elections, heap-indexed from 1.
+// leader elections, heap-indexed from 1. Its nodes live in one slice.
 type tree struct {
 	height int
 	nodes  []treeNode // index 0 unused
 }
 
-func newTree(s shm.Space, height int) *tree {
+func newTree(s shm.Space, height int) tree {
 	count := 1 << uint(height+1) // nodes 1 .. 2^(h+1)-1
-	t := &tree{height: height, nodes: make([]treeNode, count)}
+	t := tree{height: height, nodes: make([]treeNode, count)}
 	for v := 1; v < count; v++ {
-		t.nodes[v] = treeNode{rs: splitter.NewRandomized(s), le: twoproc.New3(s)}
+		t.nodes[v].rs = splitter.MakeRandomized(s)
+		t.nodes[v].le = twoproc.Make3(s)
 	}
 	return t
 }
@@ -129,24 +130,36 @@ const (
 // node. A process moves right until it wins a splitter (or loses), then
 // moves left winning 2-process elections back to node 1.
 type EliminationPath struct {
-	sps []*splitter.Splitter
-	les []*twoproc.LE
+	sps []splitter.Splitter
+	les []twoproc.LE
 }
 
 // NewEliminationPath allocates a path with the given number of nodes.
 func NewEliminationPath(s shm.Space, length int) *EliminationPath {
-	if length < 1 {
-		length = 1
+	return &makePaths(s, []int{max(length, 1)})[0]
+}
+
+// makePaths builds one elimination path per entry of lengths (each
+// positive), in order. Every path's splitters are carved from one slice
+// and its elections from another; registers are allocated node by node,
+// path by path, as separate NewEliminationPath calls would.
+func makePaths(s shm.Space, lengths []int) []EliminationPath {
+	total := 0
+	for _, l := range lengths {
+		total += l
 	}
-	p := &EliminationPath{
-		sps: make([]*splitter.Splitter, length),
-		les: make([]*twoproc.LE, length),
+	sps := make([]splitter.Splitter, total)
+	les := make([]twoproc.LE, total)
+	for i := range sps {
+		sps[i] = splitter.Make(s)
+		les[i] = twoproc.Make(s)
 	}
-	for i := range p.sps {
-		p.sps[i] = splitter.New(s)
-		p.les[i] = twoproc.New(s)
+	paths := make([]EliminationPath, len(lengths))
+	for i, l := range lengths {
+		paths[i] = EliminationPath{sps: sps[:l:l], les: les[:l:l]}
+		sps, les = sps[l:], les[l:]
 	}
-	return p
+	return paths
 }
 
 // Len returns the number of nodes.
@@ -183,8 +196,8 @@ func (p *EliminationPath) Enter(h shm.Handle, prog *Progress) PathOutcome {
 // --- Backup grid (original RatRace) ----------------------------------------
 
 type gridNode struct {
-	sp *splitter.Splitter
-	le *twoproc.LE3
+	sp splitter.Splitter
+	le twoproc.LE3
 }
 
 // grid is the original RatRace n×n backup: deterministic splitters with a
@@ -195,10 +208,11 @@ type grid struct {
 	nodes []gridNode // (i,j) at i*n+j
 }
 
-func newGrid(s shm.Space, n int) *grid {
-	g := &grid{n: n, nodes: make([]gridNode, n*n)}
+func newGrid(s shm.Space, n int) grid {
+	g := grid{n: n, nodes: make([]gridNode, n*n)}
 	for i := range g.nodes {
-		g.nodes[i] = gridNode{sp: splitter.New(s), le: twoproc.New3(s)}
+		g.nodes[i].sp = splitter.Make(s)
+		g.nodes[i].le = twoproc.Make3(s)
 	}
 	return g
 }
@@ -255,9 +269,9 @@ func (g *grid) enter(h shm.Handle, prog *Progress) (won, fellOff bool) {
 // n×n backup grid. Θ(n³) registers — construct it only for small n; the
 // paper's Section 3 variant (SpaceEfficient) is the practical one.
 type Original struct {
-	tree *tree
-	grid *grid
-	top  *twoproc.LE
+	tree tree
+	grid grid
+	top  twoproc.LE
 
 	gridFellOff atomic.Bool
 }
@@ -270,7 +284,7 @@ func NewOriginal(s shm.Space, n int) *Original {
 	return &Original{
 		tree: newTree(s, 3*ceilLog2(n)),
 		grid: newGrid(s, n),
-		top:  twoproc.New(s),
+		top:  twoproc.Make(s),
 	}
 }
 
@@ -299,11 +313,11 @@ func (r *Original) ElectWithProgress(h shm.Handle, prog *Progress) bool {
 // n. Winners of path i re-enter the tree at leaf i; processes falling off
 // a path enter the backup path.
 type SpaceEfficient struct {
-	tree      *tree
-	paths     []*EliminationPath
+	tree      tree
+	paths     []EliminationPath
 	blockSize int
 	backup    *EliminationPath
-	top       *twoproc.LE
+	top       twoproc.LE
 
 	backupFellOff atomic.Bool
 }
@@ -325,16 +339,19 @@ func NewSpaceEfficient(s shm.Space, n int) *SpaceEfficient {
 	if pathLen < 4 {
 		pathLen = 4
 	}
-	paths := make([]*EliminationPath, numPaths)
-	for i := range paths {
-		paths[i] = NewEliminationPath(s, pathLen)
+	// The fed paths, then the backup path, on shared node slices.
+	lengths := make([]int, numPaths+1)
+	for i := range numPaths {
+		lengths[i] = pathLen
 	}
+	lengths[numPaths] = n
+	paths := makePaths(s, lengths)
 	return &SpaceEfficient{
 		tree:      t,
-		paths:     paths,
+		paths:     paths[:numPaths],
 		blockSize: blockSize,
-		backup:    NewEliminationPath(s, n),
-		top:       twoproc.New(s),
+		backup:    &paths[numPaths],
+		top:       twoproc.Make(s),
 	}
 }
 

@@ -167,6 +167,23 @@ func TestSpaceComplexity(t *testing.T) {
 	}
 }
 
+// TestBuildAllocations pins what a simulator cell pays to build its
+// elector: the System and space-efficient RatRace at n = 1,024 (32,860
+// registers), as BenchmarkSimTrial/build measures it. Nodes of each kind
+// live in one slice (tree nodes; every elimination path's splitters and
+// elections), so the count does not grow with the node count; one
+// allocation per splitter or election made it about 18,900.
+func TestBuildAllocations(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		sys := sim.NewSystem(sim.Config{N: 16, Seed: 1, Reuse: true})
+		NewSpaceEfficient(sys, 1024)
+		sys.Release()
+	})
+	if allocs > 100 {
+		t.Errorf("building space-efficient RatRace at n = 1024 made %.0f allocations, want at most 100", allocs)
+	}
+}
+
 // TestEliminationPathClaim31 verifies Claim 3.1: if at most ℓ processes
 // enter a path of length ℓ, none falls off, and with all entrants
 // completing exactly one wins.

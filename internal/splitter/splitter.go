@@ -52,7 +52,14 @@ type Splitter struct {
 
 // New allocates a deterministic splitter on s.
 func New(s shm.Space) *Splitter {
-	return &Splitter{x: s.NewRegister(noProcess), y: s.NewRegister(0)}
+	sp := Make(s)
+	return &sp
+}
+
+// Make is New by value, for objects that keep their splitters in one
+// slice: it allocates the same two registers in the same order.
+func Make(s shm.Space) Splitter {
+	return Splitter{x: s.NewRegister(noProcess), y: s.NewRegister(0)}
 }
 
 // Split performs the split() operation for the process behind h.
@@ -78,9 +85,10 @@ type RSplitter struct {
 	y shm.Register
 }
 
-// NewRandomized allocates a randomized splitter on s.
-func NewRandomized(s shm.Space) *RSplitter {
-	return &RSplitter{x: s.NewRegister(noProcess), y: s.NewRegister(0)}
+// MakeRandomized allocates a randomized splitter on s, by value (see
+// Make).
+func MakeRandomized(s shm.Space) RSplitter {
+	return RSplitter{x: s.NewRegister(noProcess), y: s.NewRegister(0)}
 }
 
 // Split performs the randomized split() operation. It takes at most 4

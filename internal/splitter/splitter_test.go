@@ -17,7 +17,7 @@ func runSplit(t *testing.T, k int, seed int64, adv sim.Adversary, randomized boo
 	outcomes := make([]Outcome, k)
 	var split func(h shm.Handle) Outcome
 	if randomized {
-		sp := NewRandomized(sys)
+		sp := MakeRandomized(sys)
 		split = sp.Split
 	} else {
 		sp := New(sys)

@@ -47,7 +47,14 @@ type LE struct {
 
 // New allocates a two-process leader election on s.
 func New(s shm.Space) *LE {
-	return &LE{flags: [2]shm.Register{s.NewRegister(down), s.NewRegister(down)}}
+	le := Make(s)
+	return &le
+}
+
+// Make is New by value, for objects that keep their elections in one
+// slice: it allocates the same two registers in the same order.
+func Make(s shm.Space) LE {
+	return LE{flags: [2]shm.Register{s.NewRegister(down), s.NewRegister(down)}}
 }
 
 // Elect runs the election for the caller occupying the given slot (0 or 1)
@@ -148,13 +155,14 @@ func (r Role) String() string {
 // [3]: FromLeft and FromRight first compete on the semifinal object, and
 // the survivor meets Here on the final object. It uses 4 registers.
 type LE3 struct {
-	semifinal *LE // FromLeft (slot 0) vs FromRight (slot 1)
-	final     *LE // semifinal winner (slot 0) vs Here (slot 1)
+	semifinal LE // FromLeft (slot 0) vs FromRight (slot 1)
+	final     LE // semifinal winner (slot 0) vs Here (slot 1)
 }
 
-// New3 allocates a three-process leader election on s.
-func New3(s shm.Space) *LE3 {
-	return &LE3{semifinal: New(s), final: New(s)}
+// Make3 allocates a three-process leader election on s, by value (see
+// Make).
+func Make3(s shm.Space) LE3 {
+	return LE3{semifinal: Make(s), final: Make(s)}
 }
 
 // Elect runs the election for the caller in the given role and returns

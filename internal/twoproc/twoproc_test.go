@@ -323,7 +323,7 @@ func TestRegisterFootprint(t *testing.T) {
 		t.Errorf("2-process LE uses %d registers, want 2", got)
 	}
 	sys2 := sim.NewSystem(sim.Config{N: 3, Seed: 1})
-	New3(sys2)
+	Make3(sys2)
 	if got := sys2.RegisterCount(); got != 4 {
 		t.Errorf("3-process LE uses %d registers, want 4", got)
 	}
@@ -335,7 +335,7 @@ func TestRegisterFootprint(t *testing.T) {
 func runLE3(t *testing.T, roles []Role, seed int64) map[Role]bool {
 	t.Helper()
 	sys := sim.NewSystem(sim.Config{N: len(roles), Seed: seed})
-	le := New3(sys)
+	le := Make3(sys)
 	results := make([]bool, len(roles))
 	res := sys.Run(sim.NewRandomOblivious(seed+999), func(h shm.Handle) {
 		results[h.ID()] = le.Elect(h, roles[h.ID()])
