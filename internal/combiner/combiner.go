@@ -21,19 +21,35 @@
 //
 // The interleaving needs two logical threads of one process, each blocked
 // on its own next shared-memory operation. The package implements this
-// with fibers: each constituent algorithm runs in a goroutine against its
-// own *concurrent.Handle, the repository's one handle type, whose
-// scheduler is the fiber. Its Read/Write calls are relayed over channels
-// to the combiner, which forwards them to the real process handle, one
-// per side alternately, so step accounting (and the simulator's adversary
-// views) remain exact. Local coins come from the fiber handle's own
-// splitmix64 stream, seeded from the process's coins before the fibers
-// start, preserving determinism in the simulator. A fiber's goroutine
-// runs near the end of its initial stack, so the relay's frame is kept
-// small (see fiberHandle.Step).
+// with fibers: each constituent algorithm runs against its own
+// *concurrent.Handle, the repository's one handle type, whose scheduler
+// is the fiber. A fiber's Read or Write becomes an event the combiner
+// serves on the real process handle, one side at a time, so step
+// accounting (and the simulator's adversary views) remain exact. Local
+// coins come from the fiber handle's own splitmix64 stream, seeded from
+// the process's coins before the fibers start, preserving determinism
+// in the simulator.
+//
+// A fiber has two transports behind one interface (first event, reply,
+// stop), so the three rules are one loop:
+//
+//   - On a scheduled handle (Handle.Scheduled: a simulated process,
+//     which already runs one body at a time) each fiber is an iter.Pull
+//     coroutine of the process, and a relayed step is one coroutine
+//     switch each way.
+//   - On a production handle each fiber is a goroutine relaying its
+//     steps over channels. Its goroutine runs near the end of its
+//     initial stack, so the relay's frame is kept small (see
+//     goFiber.Step). Coroutine fibers here would make contended rounds
+//     of the arena's Mutex lose more often and raise its tail latency.
+//
+// Both transports carry the same steps in the same order, so an
+// execution does not depend on which one ran it.
 package combiner
 
 import (
+	"iter"
+
 	"repro/internal/concurrent"
 	"repro/internal/ratrace"
 	"repro/internal/shm"
@@ -57,13 +73,13 @@ type WeakElector interface {
 type Combined struct {
 	rr  AdaptiveElector
 	alg WeakElector
-	top *twoproc.LE
+	top twoproc.LE
 }
 
 // New combines RatRace rr with weak-adversary algorithm alg, allocating
 // the LE_top registers on s. Its space is that of rr plus alg plus O(1).
 func New(s shm.Space, rr AdaptiveElector, alg WeakElector) *Combined {
-	return &Combined{rr: rr, alg: alg, top: twoproc.New(s)}
+	return &Combined{rr: rr, alg: alg, top: twoproc.Make(s)}
 }
 
 // Elect runs the combined election; true iff the caller wins.
@@ -73,23 +89,25 @@ func (c *Combined) Elect(h shm.Handle) bool {
 	// the fibers start, so simulator executions stay deterministic.
 	seedRR := int64(h.Intn(1<<30))<<31 | int64(h.Intn(1<<30))
 	seedA := int64(h.Intn(1<<30))<<31 | int64(h.Intn(1<<30))
-	fRR := startFiber(h.ID(), seedRR, func(fh shm.Handle) bool {
+	start := startGoFiber
+	if h.Scheduled() {
+		start = startCoFiber
+	}
+	fRR := start(h.ID(), seedRR, func(fh shm.Handle) bool {
 		return c.rr.ElectWithProgress(fh, prog)
 	})
-	fA := startFiber(h.ID(), seedA, func(fh shm.Handle) bool {
-		return c.alg.Elect(fh)
-	})
+	fA := start(h.ID(), seedA, c.alg.Elect)
 
-	// Pre-receive each fiber's first event; thereafter the combiner
-	// always holds the current event of every live fiber, so whenever a
-	// rule consults prog the RatRace fiber is parked and its writes are
-	// ordered before ours by the channel handshake. A stopped execution
-	// takes no further step; its fiber is killed on the way out of Elect,
-	// including when the process itself crashes inside serve.
-	evRR, evA := <-fRR.ops, <-fA.ops
+	// Take each fiber's first event; thereafter the combiner always
+	// holds the current event of every live fiber, so whenever a rule
+	// consults prog the RatRace fiber is parked and its writes are
+	// ordered before ours. A stopped execution takes no further step;
+	// its fiber is stopped on the way out of Elect, including when the
+	// process itself crashes inside serve.
+	evRR, evA := fRR.first(), fA.first()
 	defer func() {
-		killFiber(fRR, &evRR)
-		killFiber(fA, &evA)
+		fRR.stop()
+		fA.stop()
 	}()
 	rrTurn := true // odd steps belong to RatRace
 
@@ -105,8 +123,7 @@ func (c *Combined) Elect(h shm.Handle) bool {
 			// Rule 3 else-branch: the process already won a splitter
 			// inside RatRace and continues RatRace alone.
 			for {
-				serve(h, evRR.op)
-				evRR = <-fRR.ops
+				evRR = fRR.reply(serve(h, evRR.op))
 				if evRR.done {
 					return c.settleRR(h, evRR)
 				}
@@ -114,11 +131,9 @@ func (c *Combined) Elect(h shm.Handle) bool {
 		}
 		// Both live: alternate, RatRace on odd steps, A on even.
 		if rrTurn {
-			serve(h, evRR.op)
-			evRR = <-fRR.ops
+			evRR = fRR.reply(serve(h, evRR.op))
 		} else {
-			serve(h, evA.op)
-			evA = <-fA.ops
+			evA = fA.reply(serve(h, evA.op))
 		}
 		rrTurn = !rrTurn
 	}
@@ -144,46 +159,121 @@ func (c *Combined) settleA(h shm.Handle, ev fiberEvent, prog *ratrace.Progress) 
 	return false, false // Rule 3: continue RatRace alone
 }
 
-// serve executes one relayed shared-memory operation on the real handle.
-func serve(h shm.Handle, op *fiberOp) {
-	if op.isWrite {
+// serve executes one relayed shared-memory operation on the real handle
+// and returns the fiber's answer: the value read, or 0 for a write.
+func serve(h shm.Handle, op *fiberOp) shm.Value {
+	if op.write {
 		h.Write(op.reg, op.val)
-		op.resp <- 0
-		return
+		return 0
 	}
-	op.resp <- h.Read(op.reg)
+	return h.Read(op.reg)
 }
 
 // --- fiber machinery --------------------------------------------------------
+
+// fiber is one constituent election running as a logical thread of its
+// process. Its shared-memory steps surface as events for the combiner
+// to serve.
+type fiber interface {
+	// first runs the fiber to its first step or its end.
+	first() fiberEvent
+	// reply answers the pending step with v and runs the fiber to its
+	// next step or its end.
+	reply(v shm.Value) fiberEvent
+	// stop ends a fiber that has not finished; it takes no further
+	// step. Stopping a finished fiber does nothing.
+	stop()
+}
 
 type fiberKilled struct{}
 
 func (fiberKilled) Error() string { return "combiner: fiber killed" }
 
+// fiberOp is a fiber's pending step.
 type fiberOp struct {
-	isWrite bool
-	reg     shm.Register
-	val     shm.Value
-	resp    chan shm.Value
+	write bool
+	reg   shm.Register
+	val   shm.Value
 }
 
-// fiberEvent is what a fiber sends the combiner: its next op, or its
-// end.
+// fiberEvent is a fiber's current event: its pending step, or its end.
 type fiberEvent struct {
 	op     *fiberOp
 	done   bool
 	result bool // elect outcome when done and not killed
 }
 
-// fiberHandle is a fiber's scheduled handle: its steps relay to the
-// combiner over ops, and its coins come from its own splitmix64 stream.
-// The handle is embedded, so one allocation holds it and the relay
-// state.
-type fiberHandle struct {
+// coFiber is a fiber run as an iter.Pull coroutine of its process: the
+// transport for scheduled handles. The handle is embedded, so one
+// allocation holds it and the relay state.
+type coFiber struct {
+	concurrent.Handle
+	run    func(h shm.Handle) bool
+	next   func() (fiberEvent, bool)
+	end    func()
+	yield  func(fiberEvent) bool
+	op     fiberOp
+	grant  shm.Value // the answer to op
+	result bool
+}
+
+func startCoFiber(id int, seed int64, run func(h shm.Handle) bool) fiber {
+	f := &coFiber{run: run}
+	f.Bind(id, f, uint64(seed), nil)
+	f.next, f.end = iter.Pull(f.body)
+	return f
+}
+
+// body is the coroutine: it runs the election to its end, or until stop
+// unwinds it from a pending step.
+func (f *coFiber) body(yield func(fiberEvent) bool) {
+	f.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(fiberKilled); !ok {
+				panic(r)
+			}
+		}
+	}()
+	f.result = f.run(&f.Handle)
+}
+
+// Step implements concurrent.Scheduler: it yields the step to the
+// combiner and returns the value the combiner replies with.
+func (f *coFiber) Step(r shm.Register, write bool, v shm.Value) shm.Value {
+	f.op.write, f.op.reg, f.op.val = write, r, v
+	if !f.yield(fiberEvent{op: &f.op}) {
+		panic(fiberKilled{})
+	}
+	return f.grant
+}
+
+func (f *coFiber) first() fiberEvent { return f.resume() }
+
+func (f *coFiber) reply(v shm.Value) fiberEvent {
+	f.grant = v
+	return f.resume()
+}
+
+func (f *coFiber) resume() fiberEvent {
+	if ev, live := f.next(); live {
+		return ev
+	}
+	return fiberEvent{done: true, result: f.result}
+}
+
+func (f *coFiber) stop() { f.end() }
+
+// goFiber is a fiber on its own goroutine, relaying its steps over
+// channels: the transport for production handles. The handle is
+// embedded, so one allocation holds it and the relay state.
+type goFiber struct {
 	concurrent.Handle
 	ops  chan fiberEvent
+	resp chan shm.Value
 	kill chan struct{}
-	op   fiberOp // reused; resp channel allocated once
+	op   fiberOp // reused for every step
+	done bool    // the combiner has received the fiber's end
 }
 
 // Step implements concurrent.Scheduler: it hands the step to the
@@ -195,49 +285,61 @@ type fiberHandle struct {
 // than building a fiberOp literal, keeps the frame small enough that a
 // new fiber does not grow its stack: a copied stack costs more than the
 // steps themselves.
-func (fh *fiberHandle) Step(r shm.Register, write bool, v shm.Value) shm.Value {
-	fh.op.isWrite, fh.op.reg, fh.op.val = write, r, v
+func (f *goFiber) Step(r shm.Register, write bool, v shm.Value) shm.Value {
+	f.op.write, f.op.reg, f.op.val = write, r, v
 	select {
-	case fh.ops <- fiberEvent{op: &fh.op}:
-	case <-fh.kill:
+	case f.ops <- fiberEvent{op: &f.op}:
+	case <-f.kill:
 		panic(fiberKilled{})
 	}
 	select {
-	case v := <-fh.op.resp:
+	case v := <-f.resp:
 		return v
-	case <-fh.kill:
+	case <-f.kill:
 		panic(fiberKilled{})
 	}
 }
 
-// startFiber launches run against a fiber handle.
-func startFiber(id int, seed int64, run func(h shm.Handle) bool) *fiberHandle {
-	fh := &fiberHandle{ops: make(chan fiberEvent), kill: make(chan struct{}), op: fiberOp{resp: make(chan shm.Value)}}
-	fh.Bind(id, fh, uint64(seed), nil)
+// startGoFiber launches run against a goroutine fiber's handle.
+func startGoFiber(id int, seed int64, run func(h shm.Handle) bool) fiber {
+	f := &goFiber{ops: make(chan fiberEvent), resp: make(chan shm.Value), kill: make(chan struct{})}
+	f.Bind(id, f, uint64(seed), nil)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(fiberKilled); ok {
-					fh.ops <- fiberEvent{done: true}
+					f.ops <- fiberEvent{done: true}
 					return
 				}
 				panic(r)
 			}
 		}()
-		res := run(&fh.Handle)
-		fh.ops <- fiberEvent{done: true, result: res}
+		res := run(&f.Handle)
+		f.ops <- fiberEvent{done: true, result: res}
 	}()
-	return fh
+	return f
 }
 
-// killFiber aborts fiber f, if its current event *ev is still an op, and
-// waits for its goroutine to unwind, so no goroutines outlive Elect.
-func killFiber(f *fiberHandle, ev *fiberEvent) {
-	if ev.done {
+func (f *goFiber) first() fiberEvent { return f.recv() }
+
+func (f *goFiber) reply(v shm.Value) fiberEvent {
+	f.resp <- v
+	return f.recv()
+}
+
+func (f *goFiber) recv() fiberEvent {
+	ev := <-f.ops
+	f.done = ev.done
+	return ev
+}
+
+// stop kills the fiber and waits for its goroutine to unwind, so no
+// goroutine outlives Elect.
+func (f *goFiber) stop() {
+	if f.done {
 		return
 	}
 	close(f.kill)
-	for !ev.done {
-		*ev = <-f.ops
+	for !f.recv().done {
 	}
 }

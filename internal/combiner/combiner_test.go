@@ -2,9 +2,12 @@ package combiner
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/concurrent"
 	"repro/internal/core"
 	"repro/internal/ratrace"
 	"repro/internal/shm"
@@ -227,8 +230,9 @@ func TestDeterminism(t *testing.T) {
 
 // TestNoFiberOutlivesCrash crashes processes inside Elect, both by an
 // adversary that stops early (Close kills the parked processes) and by an
-// explicit Kill, and checks that the goroutine count returns to its
-// baseline: no fiber may stay blocked after its process is gone.
+// explicit Kill, and on a Reuse System that is Reset mid-election and
+// then Released mid-election, and checks that the goroutine count returns
+// to its baseline: no fiber may stay parked after its process is gone.
 func TestNoFiberOutlivesCrash(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for seed := int64(0); seed < 20; seed++ {
@@ -253,12 +257,115 @@ func TestNoFiberOutlivesCrash(t *testing.T) {
 		sys.Kill(1)
 		sys.Close()
 	}
-	// A killed fiber's goroutine exits shortly after Elect returns.
+	for seed := int64(0); seed < 10; seed++ {
+		sys := sim.NewSystem(sim.Config{N: 4, Seed: seed, Reuse: true})
+		comb, _ := build(sys, 4)
+		body := func(h shm.Handle) { comb.Elect(h) }
+		for round := 0; round < 2; round++ {
+			sys.Start(body)
+			for i, pid := 0, 0; i < 10+int(seed); pid = (pid + 1) % 4 {
+				if sys.Parked(pid) {
+					sys.Step(pid)
+					i++
+				}
+			}
+			if round == 0 {
+				sys.Reset(seed + 1) // kills the parked processes, fibers and all
+			}
+		}
+		sys.Release() // likewise, mid-election
+	}
+	// A killed goroutine fiber exits shortly after Elect returns.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("%d goroutines after 20 crashed runs, want the baseline %d", n, base)
+		t.Fatalf("%d goroutines after 40 crashed runs, want the baseline %d", n, base)
+	}
+}
+
+// TestConcurrentBackend runs the combined object on production handles,
+// whose fibers are goroutines: k goroutines race through many rounds on
+// one Space, Reset between rounds as the arena recycles it. Every round
+// must elect exactly one winner, and no fiber goroutine may outlive its
+// round.
+func TestConcurrentBackend(t *testing.T) {
+	const k, n = 4, 8
+	rounds := 300
+	if testing.Short() {
+		rounds = 50
+	}
+	base := runtime.NumGoroutine()
+	s := concurrent.NewSpace()
+	comb, _ := build(s, n)
+	s.Seal()
+	handles := make([]*concurrent.Handle, k)
+	for id := range handles {
+		handles[id] = concurrent.NewHandle(id, int64(id)+1)
+		if handles[id].Scheduled() {
+			t.Fatal("a production handle reports a scheduler")
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		var wins atomic.Int32
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for _, h := range handles {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				if comb.Elect(h) {
+					wins.Add(1)
+				}
+			}()
+		}
+		start.Done()
+		done.Wait()
+		if w := wins.Load(); w != 1 {
+			t.Fatalf("round %d: %d winners, want 1", round, w)
+		}
+		s.Reset()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after %d rounds, want the baseline %d", got, rounds, base)
+	}
+}
+
+// boomElector takes two steps and then panics: a bug inside a
+// constituent election.
+type boomElector struct{ r shm.Register }
+
+type boom struct{}
+
+func (b boomElector) Elect(h shm.Handle) bool {
+	h.Write(b.r, 1)
+	h.Read(b.r)
+	panic(boom{})
+}
+
+// TestFiberPanicSurfaces: a panic inside a fiber of a simulated process
+// ends the fibers and surfaces, as any process-body panic does, from the
+// simulator call that resumed the process; no fiber is left parked.
+func TestFiberPanicSurfaces(t *testing.T) {
+	base := runtime.NumGoroutine()
+	sys := sim.NewSystem(sim.Config{N: 1, Seed: 1})
+	comb := New(sys, ratrace.NewSpaceEfficient(sys, 4), boomElector{sys.NewRegister(0)})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		sys.Run(sim.NewRoundRobin(), func(h shm.Handle) { comb.Elect(h) })
+		return nil
+	}()
+	if _, ok := got.(boom); !ok {
+		t.Fatalf("recovered %v, want the fiber's panic", got)
+	}
+	sys.Close()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the panic, want the baseline %d", n, base)
 	}
 }

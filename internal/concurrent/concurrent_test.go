@@ -260,3 +260,38 @@ func TestResetMakesObjectsReusable(t *testing.T) {
 		s.Reset()
 	}
 }
+
+// relay is a Scheduler that steps on the registers itself through a
+// production handle.
+type relay struct{ h *concurrent.Handle }
+
+func (r relay) Step(reg concurrent.AnyRegister, write bool, v concurrent.Value) concurrent.Value {
+	if write {
+		r.h.Write(reg, v)
+		return 0
+	}
+	return r.h.Read(reg)
+}
+
+// TestScheduledHandle: a production handle steps on its own, and Bind
+// hands a handle's steps to its scheduler, which counts them.
+func TestScheduledHandle(t *testing.T) {
+	s := concurrent.NewSpace()
+	r := s.NewRegister(0)
+	prod := concurrent.NewHandle(0, 1)
+	if prod.Scheduled() {
+		t.Fatal("NewHandle reports a scheduler")
+	}
+	var h concurrent.Handle
+	h.Bind(1, relay{prod}, 7, nil)
+	if !h.Scheduled() {
+		t.Fatal("a bound handle reports no scheduler")
+	}
+	h.Write(r, 5)
+	if got := h.Read(r); got != 5 {
+		t.Fatalf("scheduled read = %d, want 5", got)
+	}
+	if prod.Steps() != 2 || h.Steps() != 0 {
+		t.Fatalf("steps: scheduler's handle %d, scheduled handle %d; want 2 and 0", prod.Steps(), h.Steps())
+	}
+}
