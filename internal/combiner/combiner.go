@@ -34,9 +34,9 @@
 // stop), so the three rules are one loop:
 //
 //   - On a scheduled handle (Handle.Scheduled: a simulated process,
-//     which already runs one body at a time) each fiber is an iter.Pull
-//     coroutine of the process, and a relayed step is one coroutine
-//     switch each way.
+//     which already runs one body at a time, or a fiber of an enclosing
+//     combination) each fiber is an iter.Pull coroutine of the process,
+//     and a relayed step is one coroutine switch each way.
 //   - On a production handle each fiber is a goroutine relaying its
 //     steps over channels. Its goroutine runs near the end of its
 //     initial stack, so the relay's frame is kept small (see
