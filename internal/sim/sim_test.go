@@ -251,7 +251,7 @@ func TestGoldenTraceCombined(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fresh != string(want) {
-		t.Errorf("fresh combined trace diverges from %s (%d bytes, want %d)", combinedGoldenFile, len(fresh), len(want))
+		t.Errorf("fresh combined trace diverges from %s: %s", combinedGoldenFile, firstDiffLine(fresh, string(want)))
 	}
 
 	trace.Reset()
@@ -261,8 +261,19 @@ func TestGoldenTraceCombined(t *testing.T) {
 	defer sys.Release()
 	run(sys)
 	if got := trace.String(); got != string(want) {
-		t.Errorf("combined trace after Reset diverges from %s (%d bytes, want %d)", combinedGoldenFile, len(got), len(want))
+		t.Errorf("combined trace after Reset diverges from %s: %s", combinedGoldenFile, firstDiffLine(got, string(want)))
 	}
+}
+
+// firstDiffLine names the first line where two traces differ.
+func firstDiffLine(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d is %q, want %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
 }
 
 // TestResetReplaysIdentically checks the Reset half of the determinism
