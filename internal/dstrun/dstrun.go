@@ -16,7 +16,8 @@
 //   - at most one leader per election epoch
 //   - an overdue lease is enforced within TTL + 2×LeaseSweep
 //   - a renewed lease (EXTEND / KeepAlive) survives past its original
-//     TTL, and an unrenewed one does not
+//     TTL unless a partition held its renewals, and an unrenewed one
+//     does not
 //   - idle names are evicted, and an evicted name is usable afresh
 //   - after a drain no waiter is left stuck (the scheduler's deadlock
 //     detector stays quiet and the run ends)
@@ -299,6 +300,9 @@ type monitor struct {
 	leaders    map[epochKey]int // client-observed winner per epoch
 	srvLeaders map[epochKey]int // server-recorded winner per epoch
 	conns      []*dst.SimConn
+	// healBy bounds when the chaos actor's last partition of each link
+	// heals.
+	healBy map[*dst.SimConn]time.Time
 }
 
 // tokenMark is the last fencing token seen on a lock name's owner word
@@ -323,6 +327,7 @@ func newMonitor(seed uint64, sc Scenario) *monitor {
 		tokens:     map[string]tokenMark{},
 		leaders:    map[epochKey]int{},
 		srvLeaders: map[epochKey]int{},
+		healBy:     map[*dst.SimConn]time.Time{},
 	}
 }
 
@@ -771,6 +776,15 @@ func (r *run) lockClient(i int, full bool) {
 		case pick < 62: // renewal: extends must carry the lease past its TTL
 			name := fmt.Sprintf("lock%d", g.Intn(3))
 			ttl := 3 * sweep
+			start := r.clk.Now()
+			// A chaos partition on this link (up to 2×sweep each way) can
+			// hold the grant or an EXTEND past the lease, so the renewal
+			// must hold only where none may have been in force since start.
+			mustHold := func() bool {
+				r.mon.mu.Lock()
+				defer r.mon.mu.Unlock()
+				return r.strict && !r.mon.healBy[cl.nc].After(start)
+			}
 			tok, err := cl.op().Acquire(ctx, name, ttl)
 			if err != nil {
 				return false
@@ -779,7 +793,7 @@ func (r *run) lockClient(i int, full bool) {
 			for k := 0; k < 4; k++ { // hold for 4×sweep > ttl
 				r.clk.Sleep(sweep)
 				if err := cl.op().Extend(ctx, name, tok, ttl); err != nil {
-					if errors.Is(err, tasclient.ErrFenced) && r.strict {
+					if errors.Is(err, tasclient.ErrFenced) && mustHold() {
 						r.mon.errOnce("renew-fence", "renewed lease on %q lost: %v", name, err)
 					}
 					return false
@@ -787,7 +801,7 @@ func (r *run) lockClient(i int, full bool) {
 				r.mon.inc(&r.mon.Extends)
 			}
 			fenced, ok := r.release(cl, name, tok)
-			if fenced && r.strict {
+			if fenced && mustHold() {
 				r.mon.errOnce("renew-fence", "renewed lease on %q fenced at release", name)
 			}
 			return ok
@@ -945,7 +959,12 @@ func (r *run) chaosActor() {
 			sc.PartitionInbound(time.Duration(g.Intn(int(sweep))))
 		default:
 			sc.Reset()
+			continue
 		}
+		// Every partition above heals within 2×sweep.
+		r.mon.mu.Lock()
+		r.mon.healBy[sc] = r.clk.Now().Add(2 * sweep)
+		r.mon.mu.Unlock()
 	}
 }
 
