@@ -1024,7 +1024,11 @@ func (r *run) stormClient(i int) {
 	for op := 0; op < r.cfg.Ops; op++ {
 		cl := r.dial(true, opBudget)
 		if cl == nil {
-			return
+			// Refused: hung-up waiters hold their slots until the dead-peer
+			// probe or their grant. Back off and keep the waves going; the
+			// refused dial spends its wave, so the storm still ends.
+			r.clk.Sleep(sweep)
+			continue
 		}
 		name := fmt.Sprintf("lock%d", g.Intn(2))
 		fuse := time.Duration(int(sweep)/2 + g.Intn(int(3*sweep)))
