@@ -4,17 +4,16 @@
 // Usage:
 //
 //	tasbench [-mode=claims] [-trials N] [-seed S] [-quick]
-//	tasbench -mode=net [-scenario pairs|churn|storm|disconnect|flood]
-//	         [-clients C] [-pipeline D] [-locks L] [-duration D] [-wait D]
-//	         [-addr host:port] [-netfloor OPS]
-//	tasbench -mode=hold [-addr host:port] [-holdlock NAME] [-ttl TTL] [-holdfor D]
+//	tasbench -mode=net -addr host:port [-scenario pairs|churn|storm|disconnect|flood]
+//	         [-clients C] [-locks L] [-duration D] [-ttl TTL] [-netfloor OPS]
+//	tasbench -mode=hold -addr host:port [-ttl TTL] [-holdfor D]
 //	tasbench -mode=dst [-dstseeds N] [-seed S] [-dstscenario all|mixed|...]
 //	         [-dstops N] [-dstv]
 //
 // Claims mode (see claims.go) runs every theorem of Giakkoupis & Woelfel
 // (PODC 2012) on the deterministic simulator, each under the adversary it
 // names, and prints one table with a PASS or FAIL verdict per row. Net
-// mode (see net.go) load-tests the tasd lock daemon over loopback TCP;
+// mode (see net.go) load-tests a running tasd lock daemon over TCP;
 // dst mode (see dst.go) runs the deterministic whole-service simulation.
 // In-process mutex and simulator throughput are measured by the benchmark
 // under bench/ (bash bench/run.sh). Every mode exits 1 on a failure.
@@ -29,25 +28,18 @@ import (
 
 func main() {
 	var (
-		mode   = flag.String("mode", "claims", "'claims' (the paper's theorems as a gated table), 'net' (tasd loopback load test), 'hold' (one-lock lease drill) or 'dst' (deterministic whole-service simulation over a seed corpus)")
+		mode   = flag.String("mode", "claims", "'claims' (the paper's theorems as a gated table), 'net' (load test of a running tasd), 'hold' (one-lock lease drill) or 'dst' (deterministic whole-service simulation over a seed corpus)")
 		trials = flag.Int("trials", 100, "claims: Monte Carlo trials per sweep point")
-		seed   = flag.Int64("seed", 1, "base random seed")
+		seed   = flag.Int64("seed", 1, "claims/dst: base random seed")
 		quick  = flag.Bool("quick", false, "claims: smaller sweeps for a fast smoke run")
 
-		duration = flag.Duration("duration", 2*time.Second, "net: load duration")
-		algo     = flag.String("algo", "combined", "net: in-process server's TAS algorithm: combined, logstar, sifting, adaptive-sifting, ratrace, ratrace-original, agtv")
-
+		addr     = flag.String("addr", "", "net/hold: address of the running tasd (required)")
+		scenario = flag.String("scenario", "pairs", "net: 'pairs' (leased acquire/release), 'churn' (abandoned holds recovered by lease expiry), 'storm' (stale-token fencing storm), 'disconnect' (clients hang up mid-ACQUIRE; asserts abort + slot reclaim) or 'flood' (open-loop overload against the daemon's admission envelope; asserts shedding + goodput + bounds)")
 		clients  = flag.Int("clients", 8, "net: concurrent client connections")
-		pipeline = flag.Int("pipeline", 16, "net: ACQUIRE/RELEASE pairs per pipelined batch")
 		nlocks   = flag.Int("locks", 4, "net: distinct named locks")
-		scenario = flag.String("scenario", "pairs", "net: 'pairs' (leased acquire/release), 'churn' (abandoned holds recovered by lease expiry), 'storm' (stale-token fencing storm), 'disconnect' (clients hang up mid-ACQUIRE; asserts abort + slot reclaim) or 'flood' (open-loop overload against a small admission envelope; asserts shedding + goodput + bounds)")
+		duration = flag.Duration("duration", 2*time.Second, "net: load duration")
 		ttl      = flag.Duration("ttl", 0, "net/hold: lease TTL attached to acquires (0 = no lease)")
-		abandon  = flag.Int("abandon", 8, "net churn: forget the release every Nth cycle")
-		netWait  = flag.Duration("wait", 0, "net flood: per-ACQUIRE server-side wait budget (0 = 5ms default)")
-		netAddr  = flag.String("addr", "", "net/hold: target a running tasd (net: empty = in-process loopback server)")
 		netFloor = flag.Float64("netfloor", 0, "net: fail below this many ops/sec (0 = no gate)")
-
-		holdLock = flag.String("holdlock", "smoke/hold", "hold: lock name to acquire")
 		holdFor  = flag.Duration("holdfor", 0, "hold: how long to sit on the lock before releasing")
 
 		dstSeeds    = flag.Int("dstseeds", 64, "dst: corpus size (seeds base, base+1, ...)")
@@ -56,6 +48,9 @@ func main() {
 		dstVerbose  = flag.Bool("dstv", false, "dst: print one line per seed")
 	)
 	flag.Parse()
+	if (*mode == "net" || *mode == "hold") && *addr == "" {
+		fatalf("tasbench: -mode=%s needs -addr, the address of a running tasd", *mode)
+	}
 
 	var err error
 	switch *mode {
@@ -70,20 +65,15 @@ func main() {
 			verbose:  *dstVerbose,
 		})
 	case "hold":
-		err = runHold(*netAddr, *holdLock, *ttl, *holdFor)
+		err = runHold(*addr, *ttl, *holdFor)
 	case "net":
-		err = runNet(netConfig{
+		err = runNet(os.Stdout, netConfig{
 			scenario: *scenario,
 			clients:  *clients,
-			pipeline: *pipeline,
 			locks:    *nlocks,
 			duration: *duration,
 			ttl:      *ttl,
-			abandon:  *abandon,
-			wait:     *netWait,
-			addr:     *netAddr,
-			algo:     *algo,
-			seed:     *seed,
+			addr:     *addr,
 			floor:    *netFloor,
 		})
 	default:
