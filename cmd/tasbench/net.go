@@ -41,7 +41,7 @@ type netConfig struct {
 	floor    float64       // minimum ops/sec gate (0 = off)
 }
 
-// The values every net and hold command line used.
+// The scenarios' fixed traffic shapes and the hold drill's lock.
 const (
 	pipeline     = 16                   // pairs: ACQUIRE/RELEASE pairs per pipelined batch
 	abandonEvery = 8                    // churn: forget the release every Nth cycle
