@@ -371,13 +371,14 @@ func (t *tally) runStorm(c *tasclient.Client, cfg netConfig, w int, deadline tim
 	}
 }
 
-// runDisconnect is the disconnect-storm drill: worker w < locks plays a
-// slow holder of lock-w (its grants outlast the server's 50ms dead-peer
-// probe rate limit), while every other worker blocks in ACQUIRE behind
-// it and then hangs up mid-wait — a context deadline breaks the
-// connection without a frame boundary, exactly like a crashed client.
-// The server must abort each abandoned waiter through the elector and
-// recycle its round; runNet verifies that afterwards via STATS.
+// runDisconnect is the disconnect-storm drill: worker w plays a slow
+// holder of lock-w while w < locks and w < clients/2 (its grants outlast
+// the server's 50ms dead-peer probe rate limit), and every other worker
+// blocks in ACQUIRE behind one and then hangs up mid-wait — a context
+// deadline breaks the connection without a frame boundary, exactly like
+// a crashed client. The server must abort each abandoned waiter through
+// the elector and recycle its round; runNet verifies that afterwards via
+// STATS.
 func (t *tally) runDisconnect(c *tasclient.Client, cfg netConfig, w int, deadline time.Time) {
 	bg := context.Background()
 	if w < cfg.locks && w < cfg.clients/2 {
