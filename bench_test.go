@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/combiner"
 	"repro/internal/concurrent"
 	"repro/internal/core"
 	"repro/internal/ratrace"
@@ -103,6 +104,9 @@ func BenchmarkCASBaselineTAS(b *testing.B) {
 // while "pooled" Reset-recycles one System as harness.Run's workers do.
 // "build" is the construction a harness.Run worker pays once per cell for
 // sim-montecarlo's ratrace-se cell (32,860 registers), with no trial.
+// "combined-pooled" is "pooled" on sim-montecarlo's combined cell
+// (space-efficient RatRace with log*, n=256), whose processes keep their
+// combiner fibers parked between trials.
 func BenchmarkSimTrial(b *testing.B) {
 	const n, k = 1024, 16
 	b.Run("fresh", func(b *testing.B) {
@@ -136,6 +140,22 @@ func BenchmarkSimTrial(b *testing.B) {
 			sys := sim.NewSystem(sim.Config{N: k, Seed: int64(i), Reuse: true})
 			ratrace.NewSpaceEfficient(sys, n)
 			sys.Release()
+		}
+	})
+	b.Run("combined-pooled", func(b *testing.B) {
+		const n = 256
+		sys := sim.NewSystem(sim.Config{N: k, Seed: 0, Reuse: true})
+		defer sys.Release()
+		le := combiner.New(sys, ratrace.NewSpaceEfficient(sys, n), core.NewLogStar(sys, n))
+		body := func(h shm.Handle) {
+			le.Elect(h)
+		}
+		var res sim.Result
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sys.Reset(int64(i))
+			sys.RunInto(sim.NewRandomOblivious(int64(i)+977), body, &res)
 		}
 	})
 }

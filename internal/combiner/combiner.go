@@ -33,15 +33,22 @@
 // A fiber has two transports behind one interface (first event, reply,
 // stop), so the three rules are one loop:
 //
-//   - On a scheduled handle (Handle.Scheduled: a simulated process,
-//     which already runs one body at a time, or a fiber of an enclosing
-//     combination) each fiber is an iter.Pull coroutine of the process,
-//     and a relayed step is one coroutine switch each way.
+//   - On a simulator (a Combined built on a sim.System, which runs one
+//     process body at a time) each fiber is an iter.Pull coroutine of
+//     its process, and a relayed step is one coroutine switch each way.
+//     A process's two coroutines outlive an election but not their
+//     System: between elections they park, keyed by process id, and the
+//     next Elect reseeds them; stopping one unwinds its pending election
+//     and parks it again. The System ends them when it lets go of its
+//     processes (sim.System.OnRelease: at Release on a Reuse System, at
+//     Close otherwise), so a Reuse System running a Combined holds two
+//     more goroutines per process between executions.
 //   - On a production handle each fiber is a goroutine relaying its
-//     steps over channels. Its goroutine runs near the end of its
-//     initial stack, so the relay's frame is kept small (see
-//     goFiber.Step). Coroutine fibers here would make contended rounds
-//     of the arena's Mutex lose more often and raise its tail latency.
+//     steps over channels, started per election and ended with it. Its
+//     goroutine runs near the end of its initial stack, so the relay's
+//     frame is kept small (see goFiber.Step). Coroutine fibers here would
+//     make contended rounds of the arena's Mutex lose more often and
+//     raise its tail latency.
 //
 // Both transports carry the same steps in the same order, so an
 // execution does not depend on which one ran it.
@@ -74,41 +81,66 @@ type Combined struct {
 	rr  AdaptiveElector
 	alg WeakElector
 	top twoproc.LE
+	// sim is set when the Combined lives on a simulator; parked then
+	// holds each process's coroutine fibers between its elections,
+	// indexed by process id (see Fibers in the package doc).
+	sim    bool
+	parked []*procFibers
+}
+
+// releaser is a Space that ends what its processes keep between
+// executions: sim.System, which this package cannot import (the
+// simulator's tests run Combined).
+type releaser interface {
+	OnRelease(f func())
 }
 
 // New combines RatRace rr with weak-adversary algorithm alg, allocating
 // the LE_top registers on s. Its space is that of rr plus alg plus O(1).
+// On a simulator the Combined keeps its fibers until s ends them.
 func New(s shm.Space, rr AdaptiveElector, alg WeakElector) *Combined {
-	return &Combined{rr: rr, alg: alg, top: twoproc.Make(s)}
+	c := &Combined{rr: rr, alg: alg, top: twoproc.Make(s)}
+	if r, ok := s.(releaser); ok {
+		c.sim = true
+		r.OnRelease(c.endFibers)
+	}
+	return c
 }
 
 // Elect runs the combined election; true iff the caller wins.
 func (c *Combined) Elect(h shm.Handle) bool {
-	prog := &ratrace.Progress{}
 	// Fiber coin streams are seeded from the process's coins *before*
 	// the fibers start, so simulator executions stay deterministic.
 	seedRR := int64(h.Intn(1<<30))<<31 | int64(h.Intn(1<<30))
 	seedA := int64(h.Intn(1<<30))<<31 | int64(h.Intn(1<<30))
-	start := startGoFiber
-	if h.Scheduled() {
-		start = startCoFiber
+	var fRR, fA fiber
+	var prog *ratrace.Progress
+	if c.sim {
+		p := c.fibers(h.ID())
+		p.prog = ratrace.Progress{}
+		p.rr.Bind(h.ID(), p.rr, uint64(seedRR), nil)
+		p.a.Bind(h.ID(), p.a, uint64(seedA), nil)
+		fRR, fA, prog = p.rr, p.a, &p.prog
+	} else {
+		prog = &ratrace.Progress{}
+		fRR = startGoFiber(h.ID(), seedRR, func(fh shm.Handle) bool {
+			return c.rr.ElectWithProgress(fh, prog)
+		})
+		fA = startGoFiber(h.ID(), seedA, c.alg.Elect)
 	}
-	fRR := start(h.ID(), seedRR, func(fh shm.Handle) bool {
-		return c.rr.ElectWithProgress(fh, prog)
-	})
-	fA := start(h.ID(), seedA, c.alg.Elect)
 
-	// Take each fiber's first event; thereafter the combiner always
-	// holds the current event of every live fiber, so whenever a rule
-	// consults prog the RatRace fiber is parked and its writes are
-	// ordered before ours. A stopped execution takes no further step;
-	// its fiber is stopped on the way out of Elect, including when the
+	// A stopped execution takes no further step; its fiber is stopped
+	// on the way out of Elect, including when an election panics or the
 	// process itself crashes inside serve.
-	evRR, evA := fRR.first(), fA.first()
 	defer func() {
 		fRR.stop()
 		fA.stop()
 	}()
+	// Take each fiber's first event; thereafter the combiner always
+	// holds the current event of every live fiber, so whenever a rule
+	// consults prog the RatRace fiber is parked and its writes are
+	// ordered before ours.
+	evRR, evA := fRR.first(), fA.first()
 	rrTurn := true // odd steps belong to RatRace
 
 	for {
@@ -203,31 +235,83 @@ type fiberEvent struct {
 	result bool // elect outcome when done and not killed
 }
 
-// coFiber is a fiber run as an iter.Pull coroutine of its process: the
-// transport for scheduled handles. The handle is embedded, so one
-// allocation holds it and the relay state.
-type coFiber struct {
-	concurrent.Handle
-	run    func(h shm.Handle) bool
-	next   func() (fiberEvent, bool)
-	end    func()
-	yield  func(fiberEvent) bool
-	op     fiberOp
-	grant  shm.Value // the answer to op
-	result bool
+// procFibers is one simulated process's two coroutine fibers, parked
+// between its elections, and the RatRace progress Rule 3 reads.
+type procFibers struct {
+	rr, a *coFiber
+	prog  ratrace.Progress
 }
 
-func startCoFiber(id int, seed int64, run func(h shm.Handle) bool) fiber {
-	f := &coFiber{run: run}
-	f.Bind(id, f, uint64(seed), nil)
+// fibers returns process id's parked fibers, replacing any whose last
+// election panicked.
+func (c *Combined) fibers(id int) *procFibers {
+	for len(c.parked) <= id {
+		c.parked = append(c.parked, nil)
+	}
+	p := c.parked[id]
+	if p == nil {
+		p = &procFibers{}
+		c.parked[id] = p
+	}
+	if p.rr == nil || !p.rr.live {
+		p.rr = newCoFiber(func(fh shm.Handle) bool {
+			return c.rr.ElectWithProgress(fh, &p.prog)
+		})
+	}
+	if p.a == nil || !p.a.live {
+		p.a = newCoFiber(c.alg.Elect)
+	}
+	return p
+}
+
+// endFibers ends every parked fiber; the simulator calls it when it lets
+// go of its processes. A later Elect starts fresh fibers.
+func (c *Combined) endFibers() {
+	for _, p := range c.parked {
+		if p != nil {
+			p.rr.end()
+			p.a.end()
+		}
+	}
+	clear(c.parked)
+}
+
+// coFiber is a fiber run as an iter.Pull coroutine of its process: the
+// transport on a simulator. The coroutine runs one election per pass
+// and parks between them; Elect rebinds the handle, reseeding it, before
+// each. The handle is embedded, so one allocation holds it and the
+// relay state.
+type coFiber struct {
+	concurrent.Handle
+	run   func(h shm.Handle) bool
+	next  func() (fiberEvent, bool)
+	end   func()
+	yield func(fiberEvent) bool
+	op    fiberOp
+	grant shm.Value // the answer to op
+	busy  bool      // an election has started and not ended
+	kill  bool      // set while stop unwinds the pending election
+	live  bool      // false once an election panicked, ending the coroutine
+}
+
+func newCoFiber(run func(h shm.Handle) bool) *coFiber {
+	f := &coFiber{run: run, live: true}
 	f.next, f.end = iter.Pull(f.body)
 	return f
 }
 
-// body is the coroutine: it runs the election to its end, or until stop
-// unwinds it from a pending step.
+// body is the coroutine: it runs one election, yields its end and parks
+// until the next election starts or the fiber is ended.
 func (f *coFiber) body(yield func(fiberEvent) bool) {
 	f.yield = yield
+	for yield(fiberEvent{done: true, result: f.elect()}) {
+	}
+}
+
+// elect runs one election. Stopping it unwinds its pending step with
+// fiberKilled, which ends it with no result; any other panic ends the
+// coroutine and surfaces from the call that resumed it.
+func (f *coFiber) elect() (won bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(fiberKilled); !ok {
@@ -235,20 +319,23 @@ func (f *coFiber) body(yield func(fiberEvent) bool) {
 			}
 		}
 	}()
-	f.result = f.run(&f.Handle)
+	return f.run(&f.Handle)
 }
 
 // Step implements concurrent.Scheduler: it yields the step to the
 // combiner and returns the value the combiner replies with.
 func (f *coFiber) Step(r shm.Register, write bool, v shm.Value) shm.Value {
 	f.op.write, f.op.reg, f.op.val = write, r, v
-	if !f.yield(fiberEvent{op: &f.op}) {
+	if !f.yield(fiberEvent{op: &f.op}) || f.kill {
 		panic(fiberKilled{})
 	}
 	return f.grant
 }
 
-func (f *coFiber) first() fiberEvent { return f.resume() }
+func (f *coFiber) first() fiberEvent {
+	f.busy = true
+	return f.resume()
+}
 
 func (f *coFiber) reply(v shm.Value) fiberEvent {
 	f.grant = v
@@ -256,13 +343,22 @@ func (f *coFiber) reply(v shm.Value) fiberEvent {
 }
 
 func (f *coFiber) resume() fiberEvent {
-	if ev, live := f.next(); live {
-		return ev
-	}
-	return fiberEvent{done: true, result: f.result}
+	ev, _ := f.next()
+	f.busy = !ev.done
+	return ev
 }
 
-func (f *coFiber) stop() { f.end() }
+// stop unwinds a pending election and leaves the fiber parked for the
+// next one. If the election panicked, the coroutine has ended: next
+// reports it, and the fiber is marked dead for the combiner to replace.
+func (f *coFiber) stop() {
+	if !f.busy {
+		return
+	}
+	f.busy, f.kill = false, true
+	_, f.live = f.next()
+	f.kill = false
+}
 
 // goFiber is a fiber on its own goroutine, relaying its steps over
 // channels: the transport for production handles. The handle is

@@ -2,6 +2,7 @@ package combiner
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -232,7 +233,8 @@ func TestDeterminism(t *testing.T) {
 // adversary that stops early (Close kills the parked processes) and by an
 // explicit Kill, and on a Reuse System that is Reset mid-election and
 // then Released mid-election, and checks that the goroutine count returns
-// to its baseline: no fiber may stay parked after its process is gone.
+// to its baseline: a fiber may outlive its election, but no fiber
+// outlives its System.
 func TestNoFiberOutlivesCrash(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for seed := int64(0); seed < 20; seed++ {
@@ -285,6 +287,80 @@ func TestNoFiberOutlivesCrash(t *testing.T) {
 	}
 }
 
+// TestCombinedTrialAllocations runs pooled combined trials, as a
+// harness worker does: space-efficient RatRace with log* at n = 256 on a
+// Reuse System with k = 16, Reset between random-oblivious trials. Each
+// process keeps its two coroutine fibers parked between trials, so a
+// trial allocates no fibers (its adversary is one allocation), k process
+// coroutines and 2k fibers stay parked however many trials run, and
+// Release ends them all.
+func TestCombinedTrialAllocations(t *testing.T) {
+	const n, k = 256, 16
+	base := runtime.NumGoroutine()
+	sys := sim.NewSystem(sim.Config{N: k, Seed: 0, Reuse: true})
+	comb, _ := build(sys, n)
+	winners := 0
+	body := func(h shm.Handle) {
+		if comb.Elect(h) {
+			winners++
+		}
+	}
+	var res sim.Result
+	seed := int64(0)
+	trial := func() {
+		sys.Reset(seed)
+		winners = 0
+		sys.RunInto(sim.NewRandomOblivious(seed+977), body, &res)
+		if winners != 1 {
+			t.Fatalf("seed %d: %d winners, want 1", seed, winners)
+		}
+		seed++
+	}
+	parked := func(wantProcs, wantFibers int) {
+		t.Helper()
+		procs, fibers := parkedCoroutines()
+		if procs != wantProcs || fibers != wantFibers {
+			t.Errorf("after %d trials: %d process and %d fiber coroutines, want %d and %d", seed, procs, fibers, wantProcs, wantFibers)
+		}
+		if n := runtime.NumGoroutine(); n > base+wantProcs+wantFibers {
+			t.Errorf("after %d trials: %d goroutines, want at most the baseline %d + %d", seed, n, base, wantProcs+wantFibers)
+		}
+	}
+	trial()
+	parked(k, 2*k)
+	if a := testing.AllocsPerRun(100, trial); a > 2 {
+		t.Errorf("%.1f allocations per pooled combined trial, want at most 2", a)
+	}
+	parked(k, 2*k)
+	sys.Release()
+	parked(0, 0)
+}
+
+// parkedCoroutines counts, in a dump of every goroutine's stack, the
+// coroutines of simulated processes and of combiner fibers. Unlike
+// runtime.NumGoroutine it does not count an earlier test's goroutine
+// that is still exiting.
+func parkedCoroutines() (procs, fibers int) {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		switch {
+		case strings.Contains(g, "combiner.(*coFiber).body"):
+			fibers++
+		case strings.Contains(g, "sim.(*proc).run"):
+			procs++
+		}
+	}
+	return procs, fibers
+}
+
 // TestConcurrentBackend runs the combined object on production handles,
 // whose fibers are goroutines: k goroutines race through many rounds on
 // one Space, Reset between rounds as the arena recycles it. Every round
@@ -300,12 +376,12 @@ func TestConcurrentBackend(t *testing.T) {
 	s := concurrent.NewSpace()
 	comb, _ := build(s, n)
 	s.Seal()
+	if comb.sim {
+		t.Fatal("a Combined on a production Space runs coroutine fibers")
+	}
 	handles := make([]*concurrent.Handle, k)
 	for id := range handles {
 		handles[id] = concurrent.NewHandle(id, int64(id)+1)
-		if handles[id].Scheduled() {
-			t.Fatal("a production handle reports a scheduler")
-		}
 	}
 	for round := 0; round < rounds; round++ {
 		var wins atomic.Int32
@@ -337,25 +413,32 @@ func TestConcurrentBackend(t *testing.T) {
 	}
 }
 
-// boomElector takes two steps and then panics: a bug inside a
+// boomElector takes steps writes and then panics: a bug inside a
 // constituent election.
-type boomElector struct{ r shm.Register }
+type boomElector struct {
+	r     shm.Register
+	steps int
+}
 
 type boom struct{}
 
 func (b boomElector) Elect(h shm.Handle) bool {
-	h.Write(b.r, 1)
-	h.Read(b.r)
+	for range b.steps {
+		h.Write(b.r, 1)
+	}
 	panic(boom{})
 }
 
 // TestFiberPanicSurfaces: a panic inside a fiber of a simulated process
 // ends the fibers and surfaces, as any process-body panic does, from the
-// simulator call that resumed the process; no fiber is left parked.
+// simulator call that resumed the process; no fiber is left parked. A
+// body that recovers the panic keeps its process, and on a Reuse System
+// the fiber whose election panicked, before its first step or after its
+// second, is replaced: every later execution panics the same way.
 func TestFiberPanicSurfaces(t *testing.T) {
 	base := runtime.NumGoroutine()
 	sys := sim.NewSystem(sim.Config{N: 1, Seed: 1})
-	comb := New(sys, ratrace.NewSpaceEfficient(sys, 4), boomElector{sys.NewRegister(0)})
+	comb := New(sys, ratrace.NewSpaceEfficient(sys, 4), boomElector{sys.NewRegister(0), 2})
 	got := func() (v any) {
 		defer func() { v = recover() }()
 		sys.Run(sim.NewRoundRobin(), func(h shm.Handle) { comb.Elect(h) })
@@ -367,5 +450,25 @@ func TestFiberPanicSurfaces(t *testing.T) {
 	sys.Close()
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after the panic, want the baseline %d", n, base)
+	}
+
+	for _, steps := range []int{0, 2} {
+		sys := sim.NewSystem(sim.Config{N: 1, Seed: 1, Reuse: true})
+		comb := New(sys, ratrace.NewSpaceEfficient(sys, 4), boomElector{sys.NewRegister(0), steps})
+		for exec := range int64(3) {
+			var got any
+			sys.Reset(exec)
+			sys.Run(sim.NewRoundRobin(), func(h shm.Handle) {
+				defer func() { got = recover() }()
+				comb.Elect(h)
+			})
+			if _, ok := got.(boom); !ok {
+				t.Fatalf("%d steps, execution %d: recovered %v, want the fiber's panic", steps, exec, got)
+			}
+		}
+		sys.Release()
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%d steps: %d goroutines after Release, want the baseline %d", steps, n, base)
+		}
 	}
 }

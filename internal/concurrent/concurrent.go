@@ -379,11 +379,6 @@ func (h *Handle) Bind(id int, s Scheduler, stream uint64, tape *CoinTape) {
 // ID returns the process identifier.
 func (h *Handle) ID() int { return h.id }
 
-// Scheduled reports whether h is a scheduled handle (see Bind), whose
-// steps its scheduler takes: a simulated process or a combiner fiber.
-// A production handle (NewHandle) is not.
-func (h *Handle) Scheduled() bool { return h.sched != nil }
-
 // ReadReg is the devirtualized Read: one atomic load on a concrete
 // register, no interface dispatch, no type assertion. One step. On an
 // accounting space the read is first charged per the CC/DSM rules; the

@@ -279,14 +279,8 @@ func TestScheduledHandle(t *testing.T) {
 	s := concurrent.NewSpace()
 	r := s.NewRegister(0)
 	prod := concurrent.NewHandle(0, 1)
-	if prod.Scheduled() {
-		t.Fatal("NewHandle reports a scheduler")
-	}
 	var h concurrent.Handle
 	h.Bind(1, relay{prod}, 7, nil)
-	if !h.Scheduled() {
-		t.Fatal("a bound handle reports no scheduler")
-	}
 	h.Write(r, 5)
 	if got := h.Read(r); got != 5 {
 		t.Fatalf("scheduled read = %d, want 5", got)

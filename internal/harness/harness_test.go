@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/combiner"
 	"repro/internal/core"
+	"repro/internal/ratrace"
 	"repro/internal/shm"
 	"repro/internal/sim"
 )
@@ -52,10 +54,28 @@ func TestRun(t *testing.T) {
 // TestSequentialParallelEquivalence is the harness half of the engine
 // determinism contract: the aggregated StepStats of a sweep must be
 // byte-identical whether its trials run on one worker or many, across
-// several algorithms and worker counts.
+// several algorithms and worker counts. The combined elector's processes
+// keep their fibers parked between the trials of a worker.
 func TestSequentialParallelEquivalence(t *testing.T) {
 	specs := map[string]func(trials, workers int) Spec{
 		"logstar": logStarSpec,
+		"combined": func(trials, workers int) Spec {
+			return Spec{
+				Algorithm: "combined",
+				Factory: func(s shm.Space, n int) (Elector, func(int) bool) {
+					chain := core.NewLogStar(s, n)
+					return combiner.New(s, ratrace.NewSpaceEfficient(s, n), chain), chain.IsArrayRegister
+				},
+				N:        64,
+				K:        8,
+				Trials:   trials,
+				BaseSeed: 7,
+				Adversary: Oblivious(func(seed int64) sim.Adversary {
+					return sim.NewRandomOblivious(seed)
+				}),
+				Workers: workers,
+			}
+		},
 		"sifting": func(trials, workers int) Spec {
 			return Spec{
 				Algorithm: "sifting",

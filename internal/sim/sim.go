@@ -40,8 +40,9 @@
 // Monte Carlo drivers keep one System per worker and pay construction once
 // per sweep cell instead of once per trial. A Reuse System must be
 // Release()d when abandoned, or its parked coroutines (one goroutine each)
-// leak; without Reuse the lifecycle is single-shot and Close alone
-// reclaims everything.
+// leak, together with whatever its algorithm objects keep per process
+// until then (OnRelease: the combiner's fibers); without Reuse the
+// lifecycle is single-shot and Close alone reclaims everything.
 //
 // # What a trial costs
 //
@@ -279,6 +280,9 @@ type System struct {
 	started  bool
 	closed   bool
 	released bool
+	// onRelease ends what algorithm objects keep per process between
+	// executions; see OnRelease.
+	onRelease []func()
 }
 
 var _ shm.Space = (*System)(nil)
@@ -467,7 +471,8 @@ func (s *System) Kill(pid int) {
 // Close crashes every still-parked process. It is safe to call multiple
 // times and must be called (directly or via Run) before abandoning a
 // started System. On a Reuse System the process coroutines stay parked for
-// the next Reset/Start cycle; Release frees them for good.
+// the next Reset/Start cycle; Release frees them for good. Without Reuse,
+// Close also runs the OnRelease functions.
 func (s *System) Close() {
 	if s.closed {
 		return
@@ -478,6 +483,9 @@ func (s *System) Close() {
 	}
 	for _, p := range s.procs {
 		s.Kill(p.id)
+	}
+	if !s.cfg.Reuse {
+		s.runOnRelease()
 	}
 }
 
@@ -520,8 +528,9 @@ func (s *System) Reset(seed int64) {
 
 // Release permanently shuts the System down. On a Reuse System this ends
 // the process coroutines parked between executions (a Reuse System that is
-// never Released leaks one goroutine per process); without Reuse it is
-// equivalent to Close. The System cannot be used afterwards.
+// never Released leaks one goroutine per process) and runs the OnRelease
+// functions; without Reuse it is equivalent to Close. The System cannot
+// be used afterwards.
 func (s *System) Release() {
 	if s.released {
 		return
@@ -533,6 +542,23 @@ func (s *System) Release() {
 			p.stop()
 			p.next, p.stop = nil, nil
 		}
+	}
+	if s.cfg.Reuse {
+		s.runOnRelease()
+	}
+}
+
+// OnRelease registers f to end what an algorithm object built on the
+// System keeps for its processes between executions, such as the
+// combiner's parked fibers. f runs when the System lets go of its
+// processes, after crashing any still parked: at Release on a Reuse
+// System, and at every Close of a started execution otherwise. It must
+// leave the object ready to start afresh in a later execution.
+func (s *System) OnRelease(f func()) { s.onRelease = append(s.onRelease, f) }
+
+func (s *System) runOnRelease() {
+	for _, f := range s.onRelease {
+		f()
 	}
 }
 

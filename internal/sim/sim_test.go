@@ -437,6 +437,40 @@ func TestReleaseLifecycle(t *testing.T) {
 	sys.Start(func(h shm.Handle) {})
 }
 
+// TestOnRelease: a Reuse System runs its OnRelease functions once, at
+// Release; without Reuse they run at every Close of a started execution,
+// Release's included. Either way the parked processes are crashed first.
+func TestOnRelease(t *testing.T) {
+	for _, reuse := range []bool{true, false} {
+		sys := NewSystem(Config{N: 2, Seed: 1, Reuse: reuse})
+		r := sys.NewRegister(0)
+		calls, parkedAtCall := 0, false
+		sys.OnRelease(func() {
+			calls++
+			parkedAtCall = parkedAtCall || sys.Parked(0) || sys.Parked(1)
+		})
+		body := func(h shm.Handle) { h.Write(r, 1) }
+		sys.Run(NewRoundRobin(), body)
+		sys.Reset(2)
+		sys.Start(body) // both parked on their write
+		sys.Reset(3)
+		sys.Start(body)
+		want := 2 // the two Closes
+		if reuse {
+			want = 0
+		}
+		if calls != want {
+			t.Errorf("reuse=%v: %d calls before Release, want %d", reuse, calls, want)
+		}
+		sys.Release()
+		sys.Release()
+		want++ // Reuse: Release; otherwise Release's Close of the third execution
+		if calls != want || parkedAtCall {
+			t.Errorf("reuse=%v: %d calls after Release (want %d), a process parked at a call: %v", reuse, calls, want, parkedAtCall)
+		}
+	}
+}
+
 // TestStepCounting checks that exactly the shared-memory operations are
 // counted as steps and coins are free.
 func TestStepCounting(t *testing.T) {
