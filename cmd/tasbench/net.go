@@ -51,8 +51,8 @@ const (
 
 // tally is what one client saw; runNet sums them.
 type tally struct {
-	pairs       int
-	fenced      int
+	pairs       int // granted ACQUIREs released cleanly
+	fenced      int // granted ACQUIREs whose RELEASE was fenced
 	abandoned   int // churn: grants left to the lease sweeper
 	disconnects int // disconnect: ACQUIREs abandoned mid-wait
 	granted     int // flood: ACQUIREs the server admitted and granted
@@ -149,6 +149,11 @@ func (o outcome) rounds() uint64 {
 	return n
 }
 
+// ops is how many operations the daemon served in the run: every
+// granted ACQUIRE and every RELEASE it answered, fenced ones included. A
+// shed ACQUIRE is a refusal, not served, so flood's floor gates goodput.
+func (o outcome) ops() int { return 2*(o.pairs+o.fenced) + o.abandoned }
+
 func lockName(i int) string { return fmt.Sprintf("lock-%d", i) }
 
 func runNet(out io.Writer, cfg netConfig) error {
@@ -208,7 +213,7 @@ func runNet(out io.Writer, cfg netConfig) error {
 		o.rtts = append(o.rtts, t.rtts...)
 	}
 	slices.Sort(o.rtts)
-	ops := 2 * o.pairs // each pair is one ACQUIRE + one RELEASE
+	ops := o.ops()
 	opsPerSec := float64(ops) / elapsed.Seconds()
 
 	if sc.reclaim {
@@ -232,7 +237,7 @@ func runNet(out io.Writer, cfg netConfig) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprint(out, "note: ops counts ACQUIRE and RELEASE individually; wait = batch round-trip over the wire.\n"+
+	fmt.Fprint(out, "note: ops counts granted ACQUIREs and answered RELEASEs (fenced too) individually; wait = batch round-trip over the wire.\n"+
 		"note: rounds, expiries and aborts are this run's STATS deltas; rounds counts the scenario's locks (pairs: must equal ops/2).\n"+
 		"note: violations = server-side token-keyed owner check failures (must be 0); slots out = live arena slots after the run.\n\n")
 	if offered := o.granted + o.shed; offered > 0 {
@@ -386,11 +391,13 @@ func (t *tally) runDisconnect(c *tasclient.Client, cfg netConfig, w int, deadlin
 		// their hangups are discovered mid-wait, not at grant time.
 		name := lockName(w)
 		for time.Now().Before(deadline) {
+			t0 := time.Now()
 			tok, err := c.Acquire(bg, name, 0)
 			if err != nil {
 				t.err = fmt.Errorf("disconnect holder %s: %v", name, err)
 				return
 			}
+			t.sample(t0)
 			time.Sleep(80 * time.Millisecond)
 			if err := c.Release(bg, name, tok); err != nil {
 				t.err = fmt.Errorf("disconnect holder release %s: %v", name, err)
@@ -406,10 +413,12 @@ func (t *tally) runDisconnect(c *tasclient.Client, cfg netConfig, w int, deadlin
 		name := lockName((w + cycle) % cfg.locks)
 		cycle++
 		ctx, cancel := context.WithTimeout(bg, time.Duration(5+w%7)*time.Millisecond)
+		t0 := time.Now()
 		tok, err := c.Acquire(ctx, name, 0)
 		cancel()
 		if err == nil {
 			// Slipped in between holder beats; release and go again.
+			t.sample(t0)
 			if rerr := c.Release(bg, name, tok); rerr == nil {
 				t.pairs++
 			}

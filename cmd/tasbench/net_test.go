@@ -11,18 +11,20 @@ import (
 )
 
 // TestNetVerdicts feeds each scenario's verdict a healthy outcome, which
-// must pass, and each outcome the scenario exists to catch, which must
-// fail.
+// must pass and count the operations the daemon served, and each outcome
+// the scenario exists to catch, which must fail.
 func TestNetVerdicts(t *testing.T) {
 	rounds := func(n uint64) wire.Stats {
 		return wire.Stats{Locks: []wire.LockStats{{Name: "lock-0", Rounds: n}, {Name: "lock-1", Rounds: 2 * n}, {Name: "other", Rounds: 1000}}}
 	}
 	cases := map[string]struct {
 		ok   outcome
+		ops  int
 		fail map[string]func(o *outcome)
 	}{
 		"pairs": {
-			ok: outcome{tally: tally{pairs: 36}, locks: 2, before: rounds(3), after: rounds(15)},
+			ok:  outcome{tally: tally{pairs: 36}, locks: 2, before: rounds(3), after: rounds(15)},
+			ops: 72,
 			fail: map[string]func(o *outcome){
 				"fewer rounds than pairs": func(o *outcome) { o.pairs++ },
 				"more rounds than pairs":  func(o *outcome) { o.pairs-- },
@@ -30,28 +32,32 @@ func TestNetVerdicts(t *testing.T) {
 			},
 		},
 		"churn": {
-			ok: outcome{tally: tally{abandoned: 3}, before: wire.Stats{LeaseExpirations: 5}, after: wire.Stats{LeaseExpirations: 8}},
+			ok:  outcome{tally: tally{pairs: 20, fenced: 1, abandoned: 3}, before: wire.Stats{LeaseExpirations: 5}, after: wire.Stats{LeaseExpirations: 8}},
+			ops: 45, // 20 clean and 1 fenced ACQUIRE/RELEASE pairs, 3 abandoned grants
 			fail: map[string]func(o *outcome){
 				"no lease expired":  func(o *outcome) { o.after.LeaseExpirations = 5 },
 				"nothing abandoned": func(o *outcome) { o.abandoned = 0 },
 			},
 		},
 		"storm": {
-			ok: outcome{tally: tally{fenced: 4}},
+			ok:  outcome{tally: tally{fenced: 4}},
+			ops: 8, // every cycle fenced: each ACQUIRE and RELEASE was answered
 			fail: map[string]func(o *outcome){
 				"no fenced release": func(o *outcome) { o.fenced = 0 },
 			},
 		},
 		"disconnect": {
-			ok: outcome{tally: tally{disconnects: 9}, before: wire.Stats{Aborts: 2}, after: wire.Stats{Aborts: 7}},
+			ok:  outcome{tally: tally{pairs: 5, disconnects: 9}, before: wire.Stats{Aborts: 2}, after: wire.Stats{Aborts: 7}},
+			ops: 10, // an abandoned ACQUIRE was never answered
 			fail: map[string]func(o *outcome){
 				"no abandoned ACQUIRE": func(o *outcome) { o.disconnects = 0 },
 				"no elector abort":     func(o *outcome) { o.after.Aborts = 2 },
 			},
 		},
 		"flood": {
-			ok: outcome{tally: tally{granted: 50, shed: 70}, before: wire.Stats{Shed: 10},
+			ok: outcome{tally: tally{pairs: 50, granted: 50, shed: 70}, before: wire.Stats{Shed: 10},
 				after: wire.Stats{Shed: 80, MaxWaiters: 2, QueueDepthHighWater: 2, MaxInflight: 6, InflightHighWater: 6}},
+			ops: 100, // goodput: a shed ACQUIRE is refused, not served
 			fail: map[string]func(o *outcome){
 				"no client shed":           func(o *outcome) { o.shed = 0 },
 				"no server shed":           func(o *outcome) { o.after.Shed = 10 },
@@ -70,6 +76,9 @@ func TestNetVerdicts(t *testing.T) {
 		if err := sc.verdict(c.ok); err != nil {
 			t.Errorf("%s: healthy outcome failed: %v", name, err)
 		}
+		if got := c.ok.ops(); got != c.ops {
+			t.Errorf("%s: healthy outcome counts %d ops, want %d", name, got, c.ops)
+		}
 		for what, mutate := range c.fail {
 			o := c.ok
 			mutate(&o)
@@ -80,10 +89,12 @@ func TestNetVerdicts(t *testing.T) {
 	}
 }
 
-// TestNetAgainstServer runs pairs twice and flood once against servers on
-// loopback ports. The second pairs run meets the first one's rounds on
-// the same daemon, so it passes only if the round accounting reads this
-// run's STATS delta; flood meets a small admission envelope.
+// TestNetAgainstServer runs pairs twice, storm once and flood once
+// against servers on loopback ports. The second pairs run meets the
+// first one's rounds on the same daemon, so it passes only if the round
+// accounting reads this run's STATS delta; storm's releases are all
+// fenced, so it clears its ops/sec floor only if fenced cycles count as
+// ops; flood meets a small admission envelope.
 func TestNetAgainstServer(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  netConfig
@@ -91,6 +102,7 @@ func TestNetAgainstServer(t *testing.T) {
 		runs int
 	}{
 		{netConfig{scenario: "pairs", clients: 4, locks: 4, ttl: 5 * time.Second}, server.Config{}, 2},
+		{netConfig{scenario: "storm", clients: 4, locks: 2, ttl: 30 * time.Millisecond, floor: 1}, server.Config{}, 1},
 		{netConfig{scenario: "flood", clients: 12, locks: 2}, server.Config{MaxWaiters: 2, MaxInflight: 6}, 1},
 	} {
 		t.Run(tc.cfg.scenario, func(t *testing.T) {
