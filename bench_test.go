@@ -119,21 +119,26 @@ func BenchmarkSimTrial(b *testing.B) {
 			})
 		}
 	})
-	b.Run("pooled", func(b *testing.B) {
-		sys := sim.NewSystem(sim.Config{N: k, Seed: 0, Reuse: true})
-		defer sys.Release()
-		le := core.NewLogStar(sys, n)
-		body := func(h shm.Handle) {
-			le.Elect(h)
+	// pooled Reset-recycles one System over trials of the elector build
+	// makes on it.
+	pooled := func(build func(s shm.Space) tas.LeaderElector) func(b *testing.B) {
+		return func(b *testing.B) {
+			sys := sim.NewSystem(sim.Config{N: k, Seed: 0, Reuse: true})
+			defer sys.Release()
+			le := build(sys)
+			body := func(h shm.Handle) {
+				le.Elect(h)
+			}
+			var res sim.Result
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.Reset(int64(i))
+				sys.RunInto(sim.NewRandomOblivious(int64(i)+977), body, &res)
+			}
 		}
-		var res sim.Result
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sys.Reset(int64(i))
-			sys.RunInto(sim.NewRandomOblivious(int64(i)+977), body, &res)
-		}
-	})
+	}
+	b.Run("pooled", pooled(func(s shm.Space) tas.LeaderElector { return core.NewLogStar(s, n) }))
 	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -142,22 +147,10 @@ func BenchmarkSimTrial(b *testing.B) {
 			sys.Release()
 		}
 	})
-	b.Run("combined-pooled", func(b *testing.B) {
+	b.Run("combined-pooled", pooled(func(s shm.Space) tas.LeaderElector {
 		const n = 256
-		sys := sim.NewSystem(sim.Config{N: k, Seed: 0, Reuse: true})
-		defer sys.Release()
-		le := combiner.New(sys, ratrace.NewSpaceEfficient(sys, n), core.NewLogStar(sys, n))
-		body := func(h shm.Handle) {
-			le.Elect(h)
-		}
-		var res sim.Result
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sys.Reset(int64(i))
-			sys.RunInto(sim.NewRandomOblivious(int64(i)+977), body, &res)
-		}
-	})
+		return combiner.New(s, ratrace.NewSpaceEfficient(s, n), core.NewLogStar(s, n))
+	}))
 }
 
 // Ablation — the simulator's step-handshake overhead: one scheduled write
